@@ -35,11 +35,10 @@ class TrialFailed(ReproError):
     """A harness trial raised (or kept raising after retries).
 
     Wraps the underlying exception; :attr:`attempts` counts how many times
-    the trial was tried before giving up.  When the failure crossed a
-    process boundary the wrapper also carries *where* it happened:
-    :attr:`trial_index` (position in the campaign), :attr:`spec` (the
-    :class:`~repro.parallel.spec.TrialSpec`, when known), and
-    :attr:`worker_pid` (the pool worker that ran it).
+    the trial was tried before giving up.  Campaign drivers also say
+    *which* trial failed: :attr:`trial_index` (its index in the campaign)
+    and :attr:`spec` (the :class:`~repro.parallel.spec.TrialSpec`, when
+    known).
     """
 
     def __init__(
@@ -48,13 +47,11 @@ class TrialFailed(ReproError):
         attempts: int = 1,
         trial_index: "int | None" = None,
         spec: "object | None" = None,
-        worker_pid: "int | None" = None,
     ) -> None:
         super().__init__(message)
         self.attempts = attempts
         self.trial_index = trial_index
         self.spec = spec
-        self.worker_pid = worker_pid
 
 
 class TrialTimeout(TrialFailed):

@@ -163,18 +163,17 @@ class ResilientExecutor:
 
     # -- execution -------------------------------------------------------
 
-    def run_trial(
-        self,
-        task: Callable[..., Any],
-        key: str,
-        seed: int,
-        **kwargs: Any,
-    ) -> TrialOutcome:
-        """Execute ``task(seed=..., **kwargs)`` under the full safety net."""
+    def settled_outcome(self, key: str, seed: int) -> Optional[TrialOutcome]:
+        """The outcome of a trial that must not execute, else ``None``.
+
+        A key finished in a previous (killed) run comes back ``resumed``
+        with its journalled value; a quarantined key comes back
+        ``quarantined`` (and is journalled).  Serial trials reach this
+        through :meth:`run_trial`; the pool asks it in the parent before
+        dispatching anything.
+        """
         record = self.completed.get(key)
         if record is not None:
-            # Finished in a previous (killed) run: hand back the journalled
-            # value without re-executing anything.
             return TrialOutcome(
                 key=key,
                 seed=int(record.get("seed", seed)),
@@ -189,6 +188,27 @@ class ResilientExecutor:
             )
             self._journal(outcome)
             return outcome
+        return None
+
+    def record(self, outcome: TrialOutcome) -> None:
+        """Feed a freshly executed outcome to the quarantine and journal."""
+        if outcome.ok:
+            self.quarantine.record_success(outcome.key)
+        else:
+            self.quarantine.record_failure(outcome.key)
+        self._journal(outcome)
+
+    def run_trial(
+        self,
+        task: Callable[..., Any],
+        key: str,
+        seed: int,
+        **kwargs: Any,
+    ) -> TrialOutcome:
+        """Execute ``task(seed=..., **kwargs)`` under the full safety net."""
+        settled = self.settled_outcome(key, seed)
+        if settled is not None:
+            return settled
 
         started = time.monotonic()
         last_error: Optional[BaseException] = None
@@ -207,7 +227,6 @@ class ResilientExecutor:
             except Exception as exc:  # noqa: BLE001 - the whole point
                 last_error, timed_out = exc, False
             else:
-                self.quarantine.record_success(key)
                 outcome = TrialOutcome(
                     key=key,
                     seed=attempt_seed,
@@ -216,10 +235,9 @@ class ResilientExecutor:
                     value=value,
                     elapsed_seconds=time.monotonic() - started,
                 )
-                self._journal(outcome)
+                self.record(outcome)
                 return outcome
 
-        self.quarantine.record_failure(key)
         outcome = TrialOutcome(
             key=key,
             seed=seed,
@@ -228,7 +246,7 @@ class ResilientExecutor:
             error=f"{type(last_error).__name__}: {last_error}",
             elapsed_seconds=time.monotonic() - started,
         )
-        self._journal(outcome)
+        self.record(outcome)
         return outcome
 
     def _journal(self, outcome: TrialOutcome) -> None:

@@ -23,9 +23,8 @@ E15   Byzantine stress                 (open problem 3)
 E16   general graphs                   (open problem 2)
 ====  ==========================================================
 
-Run them via ``python -m repro run E1 [--quick]`` or the benchmark suite
-(``pytest benchmarks/ --benchmark-only``), which executes one benchmark
-per experiment and prints the measured table.
+Run them via ``python -m repro run E1 [--quick]``, which prints the
+measured table and exits non-zero when a shape check fails.
 """
 
 from .harness import Check, Experiment, ExperimentReport, run_experiments_resilient

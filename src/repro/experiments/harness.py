@@ -186,7 +186,7 @@ def run_experiments_resilient(
     to intervene.
     """
     from ..exec import Journal, ResilientExecutor, RetryPolicy
-    from ..parallel import TrialSpec, resolve_jobs, run_trials_resilient
+    from ..parallel import TrialSpec, resolve_jobs, run_trials
 
     executor = ResilientExecutor(
         timeout_seconds=timeout_seconds,
@@ -230,7 +230,7 @@ def run_experiments_resilient(
             )
             for index, experiment in enumerate(experiments)
         ]
-    outcomes = run_trials_resilient(
+    outcomes = run_trials(
         specs, jobs=jobs, executor=executor, progress=progress, shutdown=shutdown
     )
 

@@ -10,7 +10,6 @@ from .pool import (
     default_chunk_size,
     resolve_jobs,
     run_trials,
-    run_trials_resilient,
 )
 from .spec import TrialSpec, canonical_task_ref, resolve_task, task_ref
 from .supervisor import (
@@ -38,6 +37,5 @@ __all__ = [
     "resolve_jobs",
     "resolve_task",
     "run_trials",
-    "run_trials_resilient",
     "task_ref",
 ]

@@ -117,9 +117,19 @@ class TrialSpec:
     #: which never changes results — rides alongside.
     backend: Optional[str] = None
 
-    def run(self) -> Any:
-        """Execute the trial in this process (resolves the task first)."""
+    @property
+    def trial_key(self) -> str:
+        """The journal key, or ``trial[index]`` for keyless specs."""
+        return self.key or f"trial[{self.index}]"
+
+    @property
+    def kwargs(self) -> Dict[str, Any]:
+        """The task's keyword arguments: the grid point plus the backend."""
         kwargs = dict(self.point)
         if self.backend is not None:
             kwargs["backend"] = self.backend
-        return resolve_task(self.task)(seed=self.seed, **kwargs)
+        return kwargs
+
+    def run(self) -> Any:
+        """Execute the trial in this process, letting its exception escape."""
+        return resolve_task(self.task)(seed=self.seed, **self.kwargs)

@@ -48,6 +48,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import CampaignInterrupted
 from ..obs.progress import NULL_PROGRESS, ProgressReporter
+from ..obs.timing import NULL_TIMERS, PHASE_POOL_DISPATCH, PhaseTimers
 from .spec import TrialSpec
 
 #: ``kind`` tag of the supervisor-stats record embedded in journals.
@@ -207,6 +208,7 @@ class PoolSupervisor:
         stats: Optional[SupervisorStats] = None,
         shutdown: Optional[GracefulShutdown] = None,
         reporter: Optional[ProgressReporter] = None,
+        timers: Optional[PhaseTimers] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -221,6 +223,8 @@ class PoolSupervisor:
         self.stats = stats if stats is not None else SupervisorStats()
         self.shutdown = shutdown
         self.reporter = reporter if reporter is not None else NULL_PROGRESS
+        #: Times every ``pool.submit`` under ``PHASE_POOL_DISPATCH``.
+        self.timers = timers if timers is not None else NULL_TIMERS
         self._seen_pids: Dict[int, Any] = {}
         self._dead_pids: set = set()
 
@@ -317,7 +321,10 @@ class PoolSupervisor:
         while queue and len(inflight) < self.jobs:
             chunk = queue.popleft()
             try:
-                future = pool.submit(self.worker_fn, chunk.specs, *self.worker_args)
+                with self.timers.timed(PHASE_POOL_DISPATCH):
+                    future = pool.submit(
+                        self.worker_fn, chunk.specs, *self.worker_args
+                    )
             except (BrokenProcessPool, RuntimeError):
                 # The pool broke between completions (worker killed while
                 # idle): put the chunk back and rebuild immediately.

@@ -56,7 +56,7 @@ from ..exec import (
 )
 from ..obs.progress import ProgressReporter
 from ..parallel import TrialSpec, canonical_task_ref, resolve_task
-from ..parallel.pool import run_trials_resilient
+from ..parallel.pool import run_trials
 from .cache import ResultCache
 
 #: Task names the service executes by default.  Names — not references —
@@ -395,7 +395,7 @@ class CampaignService:
             emit_trial(
                 trial_spec,
                 TrialOutcome(
-                    key=trial_spec.key or f"trial[{trial_spec.index}]",
+                    key=trial_spec.trial_key,
                     seed=trial_spec.seed,
                     status=CACHED,
                     attempts=0,
@@ -404,7 +404,7 @@ class CampaignService:
             )
 
         if missing:
-            run_trials_resilient(
+            run_trials(
                 missing,
                 jobs=spec.jobs,
                 executor=executor,

@@ -10,6 +10,20 @@ def _ok_task(seed, **point):
     return {"seed": seed, **point}
 
 
+def _backend_echo(seed, backend=None, **point):
+    return backend
+
+
+class TestBackendForwarding:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_every_trial_receives_the_backend(self, jobs):
+        result = resilient_sweep(
+            _backend_echo, {"n": [8, 16]}, trials=2, jobs=jobs, backend="vec"
+        )
+        assert result.complete
+        assert [v for point in result.points for v in point.results] == ["vec"] * 4
+
+
 class TestPartialResults:
     def test_failures_degrade_to_annotated_partials(self):
         trial_counter = {"n": 0}

@@ -29,7 +29,7 @@ from repro.parallel import (
     TrialSpec,
     chunk_deadline_seconds,
     is_supervisor_record,
-    run_trials_resilient,
+    run_trials,
 )
 
 pytestmark = pytest.mark.skipif(
@@ -139,7 +139,7 @@ class TestShutdownBoundary:
         shutdown = GracefulShutdown()
         shutdown.request(signal.SIGINT)
         with pytest.raises(CampaignInterrupted) as excinfo:
-            run_trials_resilient(
+            run_trials(
                 specs_for(echo_task, 4),
                 jobs=1,
                 executor=ResilientExecutor(),
@@ -154,7 +154,7 @@ class TestShutdownBoundary:
         shutdown = GracefulShutdown()
         shutdown.request(signal.SIGTERM)
         with pytest.raises(CampaignInterrupted) as excinfo:
-            run_trials_resilient(
+            run_trials(
                 specs_for(echo_task, 4),
                 jobs=2,
                 executor=executor,
@@ -176,7 +176,7 @@ class TestWorkerDeathRecovery:
             kill_once_task, 8, marker_dir=str(marker_dir), victims=(2, 5)
         )
         executor = ResilientExecutor(journal=Journal(tmp_path / "j.jsonl"))
-        outcomes = run_trials_resilient(specs, jobs=2, executor=executor)
+        outcomes = run_trials(specs, jobs=2, executor=executor)
 
         assert [o.status for o in outcomes] == [OK] * 8
         assert [o.value["value"] for o in outcomes] == [i * 3 for i in range(8)]
@@ -192,7 +192,7 @@ class TestWorkerDeathRecovery:
 
         # ...and the recovered output is byte-identical to a serial run
         # of the same specs (the markers now exist, so nothing kills).
-        serial = run_trials_resilient(specs, jobs=1, executor=ResilientExecutor())
+        serial = run_trials(specs, jobs=1, executor=ResilientExecutor())
         as_bytes = lambda outs: json.dumps(  # noqa: E731
             [(o.key, o.seed, o.status, o.value) for o in outs], sort_keys=True
         )
@@ -212,7 +212,7 @@ class TestWorkerDeathRecovery:
             index=4, task=f"{__name__}:poison_task", seed=99, key="poison"
         )
         executor = ResilientExecutor(journal=Journal(tmp_path / "j.jsonl"))
-        outcomes = run_trials_resilient(
+        outcomes = run_trials(
             specs + [poison],
             jobs=2,
             executor=executor,

@@ -22,6 +22,11 @@ GRID = {"n": [24, 32], "alpha": [0.5]}
 SPEC = {"task": "election", "grid": GRID, "trials": 2, "master_seed": 11}
 
 
+def backend_echo(seed, backend=None, **point):
+    """Module-level task ref: reports the backend the trial received."""
+    return backend
+
+
 def wait_done(job, timeout=60.0):
     deadline = time.monotonic() + timeout
     while not job.done:
@@ -223,6 +228,32 @@ class TestExecution:
         assert ref.summary["dispatched_trials"] == 0
         assert canonical_json(ref.summary["points"]) == canonical_json(
             serial_reference()
+        )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_campaign_backend_reaches_every_trial(self, tmp_path, jobs):
+        service = CampaignService(
+            cache_dir=tmp_path / "cache", allow_task_refs=True
+        )
+        try:
+            spec = dict(
+                SPEC, task=f"{__name__}:backend_echo", backend="vec", jobs=jobs
+            )
+            job = wait_done(service.submit(spec))
+        finally:
+            service.close()
+        results = [r for point in job.summary["points"] for r in point["results"]]
+        assert results == ["vec"] * 4
+
+    def test_raising_trials_per_point_dispatches_only_the_new_trials(self, service):
+        first = wait_done(service.submit(dict(SPEC, jobs=2)))
+        # The new trials are indices 2 and 5: a non-contiguous dispatch.
+        more = wait_done(service.submit(dict(SPEC, trials=3, jobs=2)))
+        assert more.summary["failed"] == 0
+        assert more.summary["cache_hits"] == first.summary["completed"] == 4
+        assert more.summary["dispatched_trials"] == 2
+        assert canonical_json(more.summary["points"]) == canonical_json(
+            serial_reference(trials=3)
         )
 
     def test_progress_records_carry_counters(self, tmp_path):
