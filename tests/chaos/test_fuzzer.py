@@ -21,8 +21,10 @@ from repro.chaos import (
     run_scenario,
     shrink_case,
 )
+from repro.chaos import fuzzer as fuzzer_module
 from repro.chaos.grammar import FuzzedAdversary
 from repro.errors import ConfigurationError
+from repro.exec import Journal
 
 
 class TestFuzzScenario:
@@ -63,6 +65,22 @@ class TestFuzzCampaign:
         report = fuzz(default_scenarios(n=64), budget_seconds=0.0, master_seed=1)
         assert report.attempted == 2  # one trial per scenario minimum
         assert report.clean
+
+    def test_trials_are_journalled_as_they_finish(self, tmp_path, monkeypatch):
+        """Each trial is journalled before the next one starts, so a
+        campaign killed part-way keeps every trial it finished."""
+        path = tmp_path / "fuzz.jsonl"
+        real_fuzz_one = fuzzer_module.fuzz_one
+        journalled_before_each_trial = []
+
+        def watching(scenario, seed, config=None):
+            journalled_before_each_trial.append(len(Journal(str(path)).load()))
+            return real_fuzz_one(scenario, seed, config=config)
+
+        monkeypatch.setattr(fuzzer_module, "fuzz_one", watching)
+        report = fuzz(default_scenarios(n=64), seeds=2, journal=str(path))
+        assert report.clean
+        assert journalled_before_each_trial == [0, 1, 2, 3]
 
 
 class TestReplayDeterminism:
