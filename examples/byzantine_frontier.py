@@ -17,7 +17,7 @@ import sys
 from repro import agree, elect_leader
 from repro.analysis.stats import summarize_trials
 from repro.analysis.tables import format_table
-from repro.extensions import run_byzantine_agreement, run_byzantine_election
+from repro.faults.byzantine import run_byzantine_agreement, run_byzantine_election
 from repro.rng import seed_sequence
 
 ALPHA = 0.5

@@ -124,14 +124,10 @@ def _checked_rows(
     """
     from ..exec import ResilientExecutor
 
-    owns_reporter = not isinstance(progress, ProgressReporter)
-    reporter = ensure_progress(progress, total=len(points) * trials, label=label)
     result = _run_points(
         task, points, trials, master_seed, jobs, ResilientExecutor(),
-        reporter, timers, None, backend,
+        progress, timers, None, backend, label,
     )
-    if owns_reporter:
-        reporter.finish()
     if result.complete:
         return result.rows()
     failure = result.failures[0]
@@ -205,26 +201,12 @@ class ResilientSweepResult:
         return [(p.point, p.results) for p in self.points]
 
     def counts(self) -> Dict[str, int]:
-        """Headline accounting for tables and logs.
+        """Headline accounting (see :func:`repro.parallel.campaign_counts`)."""
+        from ..parallel import campaign_counts
 
-        When the parallel supervisor had to intervene (pool rebuilds,
-        worker deaths, redispatches), its counters ride along so campaign
-        summaries show *how* the numbers were reached.
-        """
-        counts = {
-            "attempted": self.attempted,
-            "completed": self.completed,
-            "failed": self.failed,
-        }
-        if self.supervisor is not None and self.supervisor.eventful:
-            counts.update(
-                {
-                    key: value
-                    for key, value in self.supervisor.as_dict().items()
-                    if isinstance(value, int) and value
-                }
-            )
-        return counts
+        return campaign_counts(
+            self.attempted, self.completed, self.failed, self.supervisor
+        )
 
 
 def _trial_key(combo_index: int, point: Mapping[str, Any], trial: int) -> str:
@@ -374,7 +356,7 @@ def resilient_sweep(
     pools, and missed deadlines rebuild the pool and redispatch in-flight
     chunks); its counters land on the result's ``supervisor`` field.
     """
-    from ..exec import Journal, ResilientExecutor, RetryPolicy
+    from ..exec import ResilientExecutor, RetryPolicy
 
     points = grid_points(grid)
     if trials < 1:
@@ -384,17 +366,10 @@ def resilient_sweep(
             timeout_seconds=timeout_seconds,
             retry=RetryPolicy(retries=retries),
         )
-    if journal_path is not None and executor.journal is None:
-        executor.journal = Journal(journal_path)
-    if resume:
-        executor.load_completed()
-    elif executor.journal is not None:
-        executor.journal.clear()
-    if manifest is not None:
-        executor.write_manifest(manifest)
+    executor.begin(journal_path, resume=resume, manifest=manifest)
     return _run_points(
         task, points, trials, master_seed, jobs, executor, progress, timers,
-        shutdown, backend,
+        shutdown, backend, "sweep",
     )
 
 
@@ -409,6 +384,7 @@ def _run_points(
     timers: Optional[PhaseTimers],
     shutdown: Optional[Any],
     backend: Optional[str],
+    label: str,
 ) -> ResilientSweepResult:
     """The one grid driver: ``points`` × ``trials`` through the scheduler.
 
@@ -416,15 +392,19 @@ def _run_points(
     with :func:`repro.parallel.run_trials` under ``executor``, and folds
     the outcomes into per-point accounting.  :func:`resilient_sweep`,
     :func:`sweep`, and :func:`monte_carlo` (whose single point may be
-    empty) all run here.
+    empty) all run here; ``label`` names their heartbeat.
     """
     from ..parallel import run_trials
 
     specs = _point_specs(task, points, trials, master_seed, backend)
+    owns_reporter = not isinstance(progress, ProgressReporter)
+    reporter = ensure_progress(progress, total=len(specs), label=label)
     outcomes = run_trials(
-        specs, jobs, executor=executor, progress=progress, timers=timers,
+        specs, jobs, executor=executor, progress=reporter, timers=timers,
         shutdown=shutdown,
     )
+    if owns_reporter:
+        reporter.finish()
     return _fold(points, trials, outcomes, executor.last_supervisor_stats)
 
 

@@ -501,18 +501,13 @@ def fuzz(
 
     if not scenarios:
         raise ConfigurationError("need at least one scenario")
-    from ..exec.journal import Journal
-    from ..parallel import TrialSpec, resolve_jobs, run_trials
+    from ..exec import ResilientExecutor
+    from ..parallel import TrialSpec, in_order, resolve_jobs, run_trials
 
     workers = resolve_jobs(jobs)
     report = FuzzReport()
     start = time.monotonic()
-    if journal is not None and not isinstance(journal, Journal):
-        journal = Journal(journal)
-    if journal is not None:
-        journal.clear()
-        if manifest is not None:
-            journal.append(manifest.journal_record())
+    journal = ResilientExecutor().begin(journal, manifest=manifest)
     reporter = ensure_progress(
         progress,
         total=None if budget_seconds is not None else seeds * len(scenarios),
@@ -564,35 +559,26 @@ def fuzz(
             )
             for spec_index, (scenario, trial_seed) in enumerate(pairs)
         ]
-        first = report.attempted
-        landed: Dict[int, Any] = {}
 
         def account(spec: TrialSpec, outcome: Any) -> None:
-            # Outcomes land in completion order; each is accounted (and
-            # journalled) once every earlier trial of the wave has been,
-            # so the report and journal follow serial trial order.
-            landed[spec.index] = outcome
-            while report.attempted - first in landed:
-                slot = report.attempted - first
-                ready = landed.pop(slot)
-                scenario, trial_seed = pairs[slot]
-                payload = ready.value if ready.ok else specs[slot].run()
-                case = None if payload is None else shrink(FuzzCase.from_dict(payload))
-                report.trials.append((scenario.protocol, trial_seed))
-                report.attempted += 1
-                if case is not None:
-                    if case.is_finding:
-                        report.findings.append(case)
-                    else:
-                        report.failures.append(case)
-                journal_trial(scenario, trial_seed, case)
-                reporter.advance(
-                    completed=1,
-                    attempted=1,
-                    failed=0 if case is None or case.is_finding else 1,
-                )
+            scenario, trial_seed = pairs[spec.index]
+            payload = outcome.value if outcome.ok else spec.run()
+            case = None if payload is None else shrink(FuzzCase.from_dict(payload))
+            report.trials.append((scenario.protocol, trial_seed))
+            report.attempted += 1
+            if case is not None:
+                if case.is_finding:
+                    report.findings.append(case)
+                else:
+                    report.failures.append(case)
+            journal_trial(scenario, trial_seed, case)
+            reporter.advance(
+                completed=1,
+                attempted=1,
+                failed=0 if case is None or case.is_finding else 1,
+            )
 
-        run_trials(specs, jobs=workers, on_outcome=account)
+        run_trials(specs, jobs=workers, on_outcome=in_order(specs, account))
 
     if budget_seconds is None:
         run_wave(range(seeds))

@@ -4,7 +4,8 @@ Commands
 --------
 
 ``run E9 [--quick] [--jobs N]``
-    Run one experiment (or ``all``) and print its measured table + checks.
+    Run one experiment (or ``all``) and print its measured table + checks
+    (reports print in order as soon as they are done).
 ``sweep --task election --n 64,128 --alpha 0.5 --trials 5 [--jobs N]``
     Monte-Carlo a parameter grid (optionally over a process pool) and
     print per-point aggregates.  ``--task ben_or`` sweeps the
@@ -51,18 +52,25 @@ Commands
     The sim-vs-wire parity oracle: for each grid cell the wire run's
     message accounting and outcome must equal the simulator's exactly.
 
-``--jobs N`` fans trials out over N worker processes; ``--jobs 0``
-auto-detects the core count.  Results are deterministic and identical
-to ``--jobs 1`` for the same seed.  Parallel resilient campaigns run
-supervised (see ``docs/RESILIENCE.md``): killed workers and hung pools
-are rebuilt and their chunks redispatched, and Ctrl-C / SIGTERM stops at
-a trial boundary with a resumable journal (exit code 130; rerun with
-``--resume``).
+``run``, ``sweep`` and ``fuzz`` are campaigns and share one set of flags
+and one path.  ``--jobs N`` fans trials out over N worker processes;
+``--jobs 0`` auto-detects the core count.  Results, printed reports and
+exit codes are deterministic and identical to ``--jobs 1`` for the same
+seed.  ``run`` and ``sweep`` always take the resilient driver (see
+``docs/RESILIENCE.md``): a raising trial or experiment becomes an
+accounted failure (exit 1) rather than a traceback, ``--trial-timeout``
+and ``--retries`` guard each one, killed workers and hung pools are
+rebuilt and their chunks redispatched, and Ctrl-C / SIGTERM stops at a
+trial boundary (exit code 130).  A campaign keeps a checkpoint journal
+only when given ``--journal`` (or ``--resume``, which defaults it to
+``.repro-<command>.journal.jsonl``); only then does an interrupt
+advertise ``--resume``.
 
 Observability (see ``docs/OBSERVABILITY.md``): ``--progress`` adds a
-stderr heartbeat to ``run``/``sweep``/``fuzz``; every ``sweep`` and
-``fuzz`` campaign writes a provenance manifest (``--manifest`` overrides
-the default path); ``sweep --profile`` records per-phase engine timings.
+stderr heartbeat to ``run``/``sweep``/``fuzz``; each of them writes a
+provenance manifest to ``--manifest``, else next to the journal, else
+next to ``--out``/``--json``, else to ``repro-<command>.manifest.json``;
+``sweep --profile`` records per-phase engine timings.
 """
 
 from __future__ import annotations
@@ -71,7 +79,7 @@ import argparse
 import json
 import sys
 import threading
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .analysis.tables import format_table
 from .core.runner import agree, elect_leader
@@ -79,81 +87,81 @@ from .experiments.registry import all_experiments, get_experiment
 from .params import Params
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    if args.experiment.lower() == "all":
-        experiments = all_experiments()
-    else:
-        experiments = [get_experiment(args.experiment)]
-    resilient = (
-        args.resume
-        or args.journal is not None
-        or args.trial_timeout is not None
-        or args.retries > 0
-        or args.jobs != 1
+def _campaign(
+    args: argparse.Namespace,
+    command: str,
+    master_seed: Optional[int],
+    config: Dict[str, Any],
+) -> Tuple[Optional[str], Any]:
+    """Shared setup of ``run``/``sweep``/``fuzz``: ``(journal, manifest)``.
+
+    The journal is ``--journal``, or ``.repro-<command>.journal.jsonl``
+    under ``--resume``; without either the campaign keeps none.  The
+    provenance manifest records ``config`` plus the campaign flags and is
+    written to ``--manifest``, else next to the journal, else next to
+    ``--out``/``--json``, else to ``repro-<command>.manifest.json``.
+    """
+    from .obs import capture_manifest
+
+    resume = getattr(args, "resume", False)
+    journal = args.journal or (
+        f".repro-{command}.journal.jsonl" if resume else None
     )
-    if resilient:
-        from .experiments.harness import run_experiments_resilient
-        from .obs import capture_manifest
+    out = getattr(args, "out", None) or getattr(args, "json", None)
+    beside = journal or out
+    manifest_path = getattr(args, "manifest", None) or (
+        f"{beside}.manifest.json" if beside else f"repro-{command}.manifest.json"
+    )
+    for name in ("jobs", "retries", "trial_timeout", "resume"):
+        if hasattr(args, name):
+            config[name] = getattr(args, name)
+    extra = {key: value for key, value in (("journal", journal), ("out", out)) if value}
+    manifest = capture_manifest(
+        command=command, master_seed=master_seed, config=config, extra=extra or None
+    )
+    manifest.write(manifest_path)
+    return journal, manifest
 
-        journal = args.journal or ".repro-run.journal.jsonl"
-        manifest = capture_manifest(
-            command="run",
-            master_seed=None,
-            config={
-                "experiment": args.experiment,
-                "quick": args.quick,
-                "jobs": args.jobs,
-                "retries": args.retries,
-                "trial_timeout": args.trial_timeout,
-                "resume": args.resume,
-            },
-            extra={"journal": journal},
+
+def _run_resilient(
+    driver: Callable[..., Any],
+    args: argparse.Namespace,
+    journal: Optional[str],
+    manifest: Any,
+    *driver_args: Any,
+    **driver_kwargs: Any,
+) -> Any:
+    """Call a resilient campaign driver with the shared flags, under
+    :class:`~repro.parallel.GracefulShutdown` (Ctrl-C stops at a trial
+    boundary)."""
+    from .parallel import GracefulShutdown
+
+    with GracefulShutdown() as shutdown:
+        return driver(
+            *driver_args,
+            journal_path=journal,
+            resume=args.resume,
+            timeout_seconds=args.trial_timeout,
+            retries=args.retries,
+            jobs=args.jobs,
+            progress=args.progress,
+            manifest=manifest,
+            shutdown=shutdown,
+            **driver_kwargs,
         )
-        manifest.write(f"{journal}.manifest.json")
-        from .parallel import GracefulShutdown
-
-        with GracefulShutdown() as shutdown:
-            reports, counts = run_experiments_resilient(
-                experiments,
-                quick=args.quick,
-                journal_path=journal,
-                resume=args.resume,
-                timeout_seconds=args.trial_timeout,
-                retries=args.retries,
-                jobs=args.jobs,
-                progress=args.progress,
-                manifest=manifest,
-                shutdown=shutdown,
-            )
-        failed = 0
-        for report in reports:
-            print(report.render())
-            print()
-            failed += 0 if report.passed else 1
-        print(
-            f"experiments: {counts['attempted']} attempted,"
-            f" {counts['completed']} completed, {counts['failed']} failed"
-            f" (journal: {journal})"
-        )
-        _print_supervision(counts)
-    else:
-        failed = 0
-        reports = []
-        for experiment in experiments:
-            report = experiment.run(quick=args.quick)
-            reports.append(report)
-            print(report.render())
-            print()
-            failed += 0 if report.passed else 1
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump([r.to_dict() for r in reports], handle, indent=2, default=str)
-        print(f"wrote {args.json}")
-    return 1 if failed else 0
 
 
-def _print_supervision(counts: dict) -> None:
-    """Print supervisor counters when the pool had to be rescued."""
+def _print_accounting(
+    noun: str, counts: Dict[str, int], journal: Optional[str]
+) -> None:
+    """The campaign's attempted/completed/failed line, plus the supervisor
+    counters :func:`repro.parallel.campaign_counts` adds when the pool had
+    to be rescued."""
+    where = f" (journal: {journal})" if journal else ""
+    print(
+        f"{noun}: {counts['attempted']} attempted, {counts['completed']}"
+        f" completed, {counts['failed']} failed{where}"
+    )
     extra = {
         key: value
         for key, value in counts.items()
@@ -166,9 +174,35 @@ def _print_supervision(counts: dict) -> None:
         )
 
 
+def _cmd_run(args: argparse.Namespace) -> int:
+    from .experiments.harness import ExperimentReport, run_experiments_resilient
+
+    if args.experiment.lower() == "all":
+        experiments = all_experiments()
+    else:
+        experiments = [get_experiment(args.experiment)]
+    journal, manifest = _campaign(
+        args, "run", None, {"experiment": args.experiment, "quick": args.quick}
+    )
+
+    def show(report: ExperimentReport) -> None:
+        print(report.render())
+        print(flush=True)
+
+    reports, counts = _run_resilient(
+        run_experiments_resilient, args, journal, manifest, experiments,
+        quick=args.quick, on_report=show,
+    )
+    _print_accounting("experiments", counts, journal)
+    if args.json:
+        with open(args.json, "w") as handle:
+            json.dump([r.to_dict() for r in reports], handle, indent=2, default=str)
+        print(f"wrote {args.json}")
+    return 0 if all(report.passed for report in reports) else 1
+
+
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     from .chaos import FuzzScenario, fuzz
-    from .obs import capture_manifest
 
     if args.protocol == "both":
         protocols = ("election", "agreement")
@@ -201,28 +235,21 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         config = GrammarConfig(
             byzantine_modes=byzantine_modes, max_delay=args.max_delay
         )
-    manifest_path = args.manifest or (
-        f"{args.journal}.manifest.json"
-        if args.journal
-        else "repro-fuzz.manifest.json"
-    )
-    manifest = capture_manifest(
-        command="fuzz",
-        master_seed=args.seed,
-        config={
+    journal, manifest = _campaign(
+        args,
+        "fuzz",
+        args.seed,
+        {
             "protocols": list(protocols),
             "n": args.n,
             "alpha": args.alpha,
             "seeds": args.seeds,
             "budget_seconds": args.budget_seconds,
             "shrink": not args.no_shrink,
-            "jobs": args.jobs,
             "max_delay": args.max_delay,
             "byzantine": list(byzantine_modes),
         },
-        extra={"journal": args.journal} if args.journal else None,
     )
-    manifest.write(manifest_path)
     report = fuzz(
         scenarios,
         seeds=args.seeds,
@@ -232,7 +259,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         shrink_failures=not args.no_shrink,
         jobs=args.jobs,
         progress=args.progress,
-        journal=args.journal,
+        journal=journal,
         manifest=manifest,
     )
     print(
@@ -307,8 +334,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     import functools
     from statistics import mean
 
-    from .analysis.sweeps import collect, sweep
-    from .obs import capture_manifest
+    from .analysis.sweeps import collect, resilient_sweep
     from .parallel import agreement_trial, ben_or_trial, election_trial
 
     task = {
@@ -343,79 +369,29 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "alpha": _parse_axis(args.alpha, float),
         "adversary": _parse_axis(args.adversary, str),
     }
-    resilient = (
-        args.resume
-        or args.journal is not None
-        or args.trial_timeout is not None
-        or args.retries > 0
-    )
-    journal = (
-        (args.journal or ".repro-sweep.journal.jsonl") if resilient else None
-    )
-    manifest_path = args.manifest or (
-        f"{args.out}.manifest.json" if args.out else "repro-sweep.manifest.json"
-    )
-    extra = {}
-    if args.out:
-        extra["out"] = args.out
-    if journal:
-        extra["journal"] = journal
-    manifest = capture_manifest(
-        command="sweep",
-        master_seed=args.seed,
-        config={
+    journal, manifest = _campaign(
+        args,
+        "sweep",
+        args.seed,
+        {
             "task": args.task,
             "grid": grid,
             "max_delay": args.max_delay,
             "trials": args.trials,
-            "jobs": args.jobs,
             "profile": args.profile,
-            "retries": args.retries,
-            "trial_timeout": args.trial_timeout,
-            "resume": args.resume,
             "backend": args.backend,
         },
-        extra=extra or None,
     )
-    manifest.write(manifest_path)
-    sweep_counts = None
-    if resilient:
-        from .analysis.sweeps import resilient_sweep
-        from .parallel import GracefulShutdown
-
-        with GracefulShutdown() as shutdown:
-            result = resilient_sweep(
-                task,
-                grid,
-                trials=args.trials,
-                master_seed=args.seed,
-                journal_path=journal,
-                resume=args.resume,
-                timeout_seconds=args.trial_timeout,
-                retries=args.retries,
-                jobs=args.jobs,
-                progress=args.progress,
-                manifest=manifest,
-                shutdown=shutdown,
-                backend=backend,
-            )
-        rows = result.rows()
-        sweep_counts = result.counts()
-    else:
-        rows = sweep(
-            task,
-            grid,
-            trials=args.trials,
-            master_seed=args.seed,
-            jobs=args.jobs,
-            progress=args.progress,
-            backend=backend,
-        )
+    result = _run_resilient(
+        resilient_sweep, args, journal, manifest, task, grid,
+        trials=args.trials, master_seed=args.seed, backend=backend,
+    )
+    rows = result.rows()
 
     def reduce(results: List[dict]) -> dict:
         if not results:
-            # Every trial of this point failed (resilient mode keeps the
-            # row with its accounting instead of crashing the reduce).
+            # Every trial of this point failed: keep the row (its
+            # failures are in the accounting line) instead of crashing.
             return {
                 "trials": 0,
                 "success_rate": 0.0,
@@ -444,13 +420,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     aggregated = collect(rows, reduce)
     print(format_table(aggregated, title=f"{args.task} sweep (jobs={args.jobs})"))
-    if sweep_counts is not None:
-        print(
-            f"trials: {sweep_counts['attempted']} attempted,"
-            f" {sweep_counts['completed']} completed,"
-            f" {sweep_counts['failed']} failed (journal: {journal})"
-        )
-        _print_supervision(sweep_counts)
+    _print_accounting("trials", result.counts(), journal)
     if args.out:
         with open(args.out, "w") as handle:
             json.dump(
@@ -468,7 +438,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 indent=2,
             )
         print(f"wrote {args.out}")
-    return 0 if all(row["success_rate"] == 1.0 for row in aggregated) else 1
+    passed = all(row["success_rate"] == 1.0 for row in aggregated)
+    return 0 if result.complete and passed else 1
 
 
 def _cmd_elect(args: argparse.Namespace) -> int:
@@ -744,6 +715,60 @@ def _cmd_wire_parity(args: argparse.Namespace) -> int:
     return 0 if not failed else 1
 
 
+#: The campaign flags, declared once: ``run``, ``sweep`` and ``fuzz`` each
+#: take the subset they support (``serve`` and ``wire`` reuse ``--jobs``
+#: and ``--trial-timeout`` with their own meaning).
+_CAMPAIGN_FLAGS: Dict[str, Dict[str, Any]] = {
+    "--jobs": {
+        "type": int,
+        "default": 1,
+        "help": "worker processes (0 = auto-detect cores; output identical to 1)",
+    },
+    "--progress": {
+        "action": "store_true",
+        "help": "stderr heartbeat (done, failures, retries, throughput, ETA)",
+    },
+    "--journal": {
+        "default": None,
+        "help": "checkpoint journal path (default: none, or "
+        ".repro-<command>.journal.jsonl when resuming)",
+    },
+    "--resume": {
+        "action": "store_true",
+        "help": "skip work already completed in the checkpoint journal "
+        "(continue an interrupted campaign)",
+    },
+    "--trial-timeout": {
+        "type": float,
+        "default": None,
+        "metavar": "SECONDS",
+        "help": "per-trial (per-experiment for run) wall-clock budget; also "
+        "arms hung-pool deadlines",
+    },
+    "--retries": {
+        "type": int,
+        "default": 0,
+        "help": "retries per trial with derived seeds and backoff",
+    },
+    "--manifest": {
+        "default": None,
+        "help": "provenance manifest path (default: next to the journal, "
+        "else next to the output file, else repro-<command>.manifest.json)",
+    },
+}
+
+
+def _add_campaign_flags(
+    parser: argparse.ArgumentParser, *dests: str, **changes: Any
+) -> None:
+    """Add the :data:`_CAMPAIGN_FLAGS` with these ``args`` attribute names
+    (``"trial_timeout"`` is ``--trial-timeout``); ``changes`` override
+    their argparse keywords (e.g. ``help``, ``default``)."""
+    for dest in dests:
+        flag = "--" + dest.replace("_", "-")
+        parser.add_argument(flag, **{**_CAMPAIGN_FLAGS[flag], **changes})
+
+
 def _add_wire_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
@@ -765,9 +790,9 @@ def _add_wire_common(parser: argparse.ArgumentParser) -> None:
         default=30.0,
         help="per-barrier deadline (frames / reports)",
     )
-    parser.add_argument(
-        "--trial-timeout",
-        type=float,
+    _add_campaign_flags(
+        parser,
+        "trial_timeout",
         default=180.0,
         help="whole-trial wall-clock deadline",
     )
@@ -791,40 +816,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("experiment")
     run.add_argument("--quick", action="store_true", help="small sizes/trials")
     run.add_argument("--json", default=None, help="also write results as JSON")
-    run.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip experiments already completed in the checkpoint journal",
-    )
-    run.add_argument(
-        "--journal",
-        default=None,
-        help="checkpoint journal path (default .repro-run.journal.jsonl when "
-        "resilient flags are used)",
-    )
-    run.add_argument(
-        "--trial-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-experiment wall-clock budget",
-    )
-    run.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        help="retries per experiment with derived seeds and backoff",
-    )
-    run.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the batch (0 = auto-detect cores)",
-    )
-    run.add_argument(
-        "--progress",
-        action="store_true",
-        help="stderr heartbeat (experiments done, throughput, retries)",
+    _add_campaign_flags(
+        run, "jobs", "progress", "journal", "resume", "trial_timeout", "retries"
     )
     run.set_defaults(func=_cmd_run)
 
@@ -854,18 +847,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_cmd.add_argument("--seed", type=int, default=0, help="master seed")
     sweep_cmd.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes (0 = auto-detect cores; output identical to 1)",
-    )
-    sweep_cmd.add_argument(
         "--out", default=None, help="also write full per-trial results as JSON"
-    )
-    sweep_cmd.add_argument(
-        "--progress",
-        action="store_true",
-        help="stderr heartbeat (trials done, throughput, ETA)",
     )
     sweep_cmd.add_argument(
         "--profile",
@@ -873,43 +855,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="record per-phase engine timings in every trial summary",
     )
     sweep_cmd.add_argument(
-        "--manifest",
-        default=None,
-        help="provenance manifest path (default <out>.manifest.json or "
-        "repro-sweep.manifest.json)",
-    )
-    sweep_cmd.add_argument(
-        "--journal",
-        default=None,
-        help="checkpoint journal path; enables the resilient, supervised "
-        "sweep (default .repro-sweep.journal.jsonl when resilient flags "
-        "are used)",
-    )
-    sweep_cmd.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip trials already completed in the checkpoint journal "
-        "(continue an interrupted sweep)",
-    )
-    sweep_cmd.add_argument(
-        "--trial-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-trial wall-clock budget (also arms hung-pool deadlines)",
-    )
-    sweep_cmd.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        help="retries per trial with derived seeds and backoff",
-    )
-    sweep_cmd.add_argument(
         "--backend",
         choices=("ref", "vec"),
         default="ref",
         help="engine backend for every trial (vec: numpy vectorized "
         "engine, identical results; election/agreement tasks only)",
+    )
+    _add_campaign_flags(
+        sweep_cmd, "jobs", "progress", "journal", "resume", "trial_timeout",
+        "retries", "manifest",
     )
     sweep_cmd.set_defaults(func=_cmd_sweep)
 
@@ -954,28 +908,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="keep failing schedules as sampled (skip minimisation)",
     )
-    fuzz_cmd.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes sharding the seed stream (0 = auto-detect)",
-    )
-    fuzz_cmd.add_argument(
-        "--progress",
-        action="store_true",
-        help="stderr heartbeat (trials done, failures, throughput)",
-    )
-    fuzz_cmd.add_argument(
-        "--journal",
-        default=None,
-        help="write one JSONL record per fuzz trial (feeds 'repro report')",
-    )
-    fuzz_cmd.add_argument(
-        "--manifest",
-        default=None,
-        help="provenance manifest path (default <journal>.manifest.json or "
-        "repro-fuzz.manifest.json)",
-    )
+    _add_campaign_flags(fuzz_cmd, "jobs", "progress", "journal", "manifest")
     fuzz_cmd.set_defaults(func=_cmd_fuzz)
 
     replay = sub.add_parser(
@@ -1137,10 +1070,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="LRU-evict cache entries beyond this count (default: unbounded)",
     )
-    serve_cmd.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
+    _add_campaign_flags(
+        serve_cmd,
+        "jobs",
         help="default pool width for campaigns that do not specify one "
         "(0 = all cores)",
     )

@@ -6,9 +6,10 @@ retry with derived seeds and capped exponential backoff, quarantine of
 persistently failing configurations, and a JSONL checkpoint journal that
 lets a killed sweep resume without re-running finished trials.
 
-Entry points: :class:`ResilientExecutor` (one guarded trial),
+Entry points: :class:`ResilientExecutor` (one guarded trial; its
+:meth:`~ResilientExecutor.begin` opens every campaign's journal),
 :func:`repro.analysis.sweeps.resilient_sweep` (guarded grids), and the
-``repro run --resume/--trial-timeout/--retries`` CLI flags.
+``repro run|sweep --resume/--trial-timeout/--retries`` CLI flags.
 """
 
 from .executor import (
@@ -23,7 +24,7 @@ from .executor import (
     TrialOutcome,
     default_serialize,
 )
-from .journal import FsckReport, Journal, fsck_journal, open_journal, seal_record
+from .journal import FsckReport, Journal, fsck_journal, seal_record
 from .retry import RetryPolicy
 from .timeout import call_with_timeout, timeouts_supported
 
@@ -43,7 +44,6 @@ __all__ = [
     "call_with_timeout",
     "default_serialize",
     "fsck_journal",
-    "open_journal",
     "seal_record",
     "timeouts_supported",
 ]

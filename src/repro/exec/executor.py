@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from pathlib import Path
+from typing import Any, Callable, Dict, Optional, Union
 
 from ..errors import TrialTimeout
 from .journal import Journal
@@ -136,14 +137,32 @@ class ResilientExecutor:
 
     # -- resume ----------------------------------------------------------
 
-    def write_manifest(self, manifest: Any) -> None:
-        """Embed a provenance manifest record in the journal (if any).
+    def begin(
+        self,
+        journal: Union[None, str, Path, Journal] = None,
+        *,
+        resume: bool = False,
+        manifest: Optional[Any] = None,
+    ) -> Optional[Journal]:
+        """Open a campaign's journal; returns it (``None`` when journal-less).
 
-        ``manifest`` is a :class:`repro.obs.Manifest`; a journal-less
-        executor ignores the call, so drivers never need to guard it.
+        ``journal`` (a path or :class:`Journal`) is adopted unless the
+        executor already has one.  ``resume=True`` loads the completed
+        trials for skipping; otherwise a stale journal is cleared so
+        leftover records cannot masquerade as progress.  ``manifest`` (a
+        :class:`repro.obs.Manifest`) is then appended as a ``{"kind":
+        "manifest"}`` record, so each run that touched the journal is
+        documented in it.  Every campaign driver starts here.
         """
-        if self.journal is not None:
+        if journal is not None and self.journal is None:
+            self.journal = journal if isinstance(journal, Journal) else Journal(journal)
+        if resume:
+            self.load_completed()
+        elif self.journal is not None:
+            self.journal.clear()
+        if manifest is not None and self.journal is not None:
             self.journal.append(manifest.journal_record())
+        return self.journal
 
     def load_completed(self) -> int:
         """Read the journal and index successful records by key.

@@ -487,19 +487,3 @@ def fsck_journal(path: Union[str, Path], repair: bool = False) -> FsckReport:
         report.repaired = True
         report.quarantined = len(quarantine)
     return report
-
-
-def open_journal(
-    path: Optional[Union[str, Path]], resume: bool
-) -> Optional[Journal]:
-    """Standard harness journal handling: ``None`` path means no journal.
-
-    A fresh (non-resume) run truncates any stale journal at the path so
-    leftover records from an earlier sweep cannot masquerade as progress.
-    """
-    if path is None:
-        return None
-    journal = Journal(path)
-    if not resume:
-        journal.clear()
-    return journal

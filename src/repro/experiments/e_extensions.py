@@ -18,11 +18,8 @@ from typing import List
 
 from ..analysis.stats import mean, summarize_trials
 from ..core.runner import agree, elect_leader
-from ..extensions.byzantine import (
-    run_byzantine_agreement,
-    run_byzantine_election,
-)
 from ..extensions.general_graphs import walk_based_leader_election
+from ..faults.byzantine import run_byzantine_agreement, run_byzantine_election
 from ..rng import seed_sequence
 from .harness import Check, Experiment, ExperimentReport
 

@@ -133,18 +133,14 @@ def _failure_report(experiment: "Experiment", outcome: Any) -> ExperimentReport:
 
 
 def _experiment_task(
-    seed: int = 0, experiment_id: str = "", quick: bool = False
+    seed: int, experiment: Experiment, quick: bool
 ) -> ExperimentReport:
-    """Picklable trial task: run one registered experiment by id.
+    """Trial task of one experiment (picklable for every module-level runner).
 
-    Experiments are looked up *inside* the worker process (an
-    ``Experiment`` carries an arbitrary runner callable, which may not
-    pickle; its id always does).  ``seed`` is accepted for the executor
-    interface and ignored — experiments seed themselves internally.
+    ``seed`` is accepted for the executor interface and ignored —
+    experiments seed themselves internally.
     """
-    from .registry import get_experiment
-
-    return get_experiment(experiment_id).run(quick=quick)
+    return experiment.run(quick=quick)
 
 
 def run_experiments_resilient(
@@ -159,6 +155,7 @@ def run_experiments_resilient(
     progress: Any = False,
     manifest: Optional[Any] = None,
     shutdown: Optional[Any] = None,
+    on_report: Optional[Callable[[ExperimentReport], None]] = None,
 ) -> Tuple[List[ExperimentReport], Dict[str, int]]:
     """Run a batch of experiments under the resilient executor.
 
@@ -168,93 +165,68 @@ def run_experiments_resilient(
     with ``resume=True`` experiments already journalled as complete are
     reconstructed via :meth:`ExperimentReport.from_dict` without re-running.
 
-    ``jobs`` > 1 fans the batch out over a process pool: workers look the
-    experiments up by id from the registry, run them under the same
-    timeout/retry net, and the parent keeps sole ownership of the journal
-    and resume state.  Reports come back in the order given.
+    ``jobs`` > 1 fans the batch out over a process pool (the
+    :class:`Experiment` itself rides in the trial spec, so its runner
+    must be picklable — every registered one is), running each under the
+    same timeout/retry net while the parent keeps sole ownership of the
+    journal and resume state.  Reports come back in the order given, and
+    ``on_report(report)`` sees each one as soon as it and every report
+    before it are done.
 
     ``progress=True`` emits a stderr heartbeat; ``manifest`` (a
     :class:`repro.obs.Manifest`) is embedded in the journal so the
     campaign file is self-describing for ``repro report``.  ``shutdown``
     (a :class:`~repro.parallel.GracefulShutdown`) stops the batch at the
-    next experiment boundary on SIGINT/SIGTERM, leaving a resumable
-    journal.
+    next experiment boundary on SIGINT/SIGTERM (resumable when there is
+    a journal).
 
-    Returns ``(reports, counts)`` with counts keyed
-    ``attempted/completed/failed`` — plus the parallel supervisor's
-    counters (``pool_rebuilds``, ``worker_deaths``, ...) whenever it had
-    to intervene.
+    Returns ``(reports, counts)`` with counts as
+    :func:`repro.parallel.campaign_counts` builds them.
     """
-    from ..exec import Journal, ResilientExecutor, RetryPolicy
-    from ..parallel import TrialSpec, resolve_jobs, run_trials
+    from ..exec import ResilientExecutor, RetryPolicy
+    from ..parallel import TrialSpec, campaign_counts, in_order, run_trials
 
     executor = ResilientExecutor(
         timeout_seconds=timeout_seconds,
         retry=RetryPolicy(retries=retries),
-        serialize=lambda report: report.to_dict()
-        if isinstance(report, ExperimentReport)
-        else report,
+        serialize=ExperimentReport.to_dict,
     )
-    if journal_path is not None:
-        executor.journal = Journal(journal_path)
-    if resume:
-        executor.load_completed()
-    elif executor.journal is not None:
-        executor.journal.clear()
-    if manifest is not None:
-        executor.write_manifest(manifest)
-
-    # Workers must look experiments up by id (runner callables may not
-    # pickle); serially the experiment object runs directly, which also
-    # covers ad-hoc experiments that are not in the registry.
-    if resolve_jobs(jobs) > 1:
-        specs = [
-            TrialSpec(
-                index=index,
-                task=_experiment_task,
-                seed=0,
-                point={"experiment_id": experiment.experiment_id, "quick": quick},
-                key=experiment.experiment_id,
-            )
-            for index, experiment in enumerate(experiments)
-        ]
-    else:
-        specs = [
-            TrialSpec(
-                index=index,
-                # repro: lint-ignore[PAR001] serial path only (jobs==1 above):
-                # this lambda never crosses a process boundary
-                task=lambda seed, exp=experiment, **_: exp.run(quick=quick),
-                seed=0,
-                key=experiment.experiment_id,
-            )
-            for index, experiment in enumerate(experiments)
-        ]
-    outcomes = run_trials(
-        specs, jobs=jobs, executor=executor, progress=progress, shutdown=shutdown
-    )
-
-    reports: List[ExperimentReport] = []
-    counts = {"attempted": 0, "completed": 0, "failed": 0}
-    for experiment, outcome in zip(experiments, outcomes):
-        counts["attempted"] += 1
-        if outcome.ok:
-            counts["completed"] += 1
-            value = outcome.value
-            if isinstance(value, ExperimentReport):
-                reports.append(value)
-            else:
-                reports.append(ExperimentReport.from_dict(value))
-        else:
-            counts["failed"] += 1
-            reports.append(_failure_report(experiment, outcome))
-    stats = executor.last_supervisor_stats
-    if stats is not None and stats.eventful:
-        counts.update(
-            {
-                key: value
-                for key, value in stats.as_dict().items()
-                if isinstance(value, int) and value
-            }
+    executor.begin(journal_path, resume=resume, manifest=manifest)
+    specs = [
+        TrialSpec(
+            index=index,
+            task=_experiment_task,
+            seed=0,
+            point={"experiment": experiment, "quick": quick},
+            key=experiment.experiment_id,
         )
-    return reports, counts
+        for index, experiment in enumerate(experiments)
+    ]
+    reports: List[ExperimentReport] = []
+
+    def land(spec: TrialSpec, outcome: Any) -> None:
+        if not outcome.ok:
+            report = _failure_report(spec.point["experiment"], outcome)
+        elif isinstance(outcome.value, ExperimentReport):
+            report = outcome.value
+        else:
+            report = ExperimentReport.from_dict(outcome.value)
+        reports.append(report)
+        if on_report is not None:
+            on_report(report)
+
+    outcomes = run_trials(
+        specs,
+        jobs,
+        executor=executor,
+        progress=progress,
+        shutdown=shutdown,
+        on_outcome=in_order(specs, land),
+    )
+    completed = sum(1 for outcome in outcomes if outcome.ok)
+    return reports, campaign_counts(
+        len(outcomes),
+        completed,
+        len(outcomes) - completed,
+        executor.last_supervisor_stats,
+    )

@@ -1,14 +1,13 @@
 """Beyond the paper: explorations of its stated open problems.
 
 Section VI lists open questions; two of them are explorable on this
-code base and live here:
+code base:
 
-* :mod:`~repro.extensions.byzantine` — open problem (3), "whether a
-  sub-linear message bound agreement protocol is possible in the presence
-  of Byzantine node failure": run the crash-fault protocols against
-  actively lying nodes and measure exactly which guarantee breaks and how
-  fast.  (Spoiler: a single forger suffices — which is why the question
-  is open.)
+* open problem (3), "whether a sub-linear message bound agreement
+  protocol is possible in the presence of Byzantine node failure", is
+  measured by the runners of :mod:`repro.faults.byzantine`, next to the
+  attacker protocols they swap in.  (Spoiler: a single forger suffices —
+  which is why the question is open.)
 * :mod:`~repro.extensions.general_graphs` — open problem (2), "extend the
   study of the message complexity of the problem in general graphs": a
   random-walk-based implicit leader election in the style of
@@ -16,22 +15,12 @@ code base and live here:
   against the complete-graph protocol.
 """
 
-from .byzantine import (
-    BYZANTINE_ATTACKS,
-    ByzantineOutcome,
-    run_byzantine_agreement,
-    run_byzantine_election,
-)
 from .general_graphs import (
     WalkLeaderElectionOutcome,
     walk_based_leader_election,
 )
 
 __all__ = [
-    "BYZANTINE_ATTACKS",
-    "ByzantineOutcome",
     "WalkLeaderElectionOutcome",
-    "run_byzantine_agreement",
-    "run_byzantine_election",
     "walk_based_leader_election",
 ]

@@ -8,6 +8,7 @@ seed — same derived seed streams, results reassembled by trial index.
 from .pool import (
     OutcomeHook,
     default_chunk_size,
+    in_order,
     resolve_jobs,
     run_trials,
 )
@@ -16,6 +17,7 @@ from .supervisor import (
     GracefulShutdown,
     PoolSupervisor,
     SupervisorStats,
+    campaign_counts,
     chunk_deadline_seconds,
     is_supervisor_record,
 )
@@ -29,10 +31,12 @@ __all__ = [
     "TrialSpec",
     "agreement_trial",
     "ben_or_trial",
+    "campaign_counts",
     "canonical_task_ref",
     "chunk_deadline_seconds",
     "default_chunk_size",
     "election_trial",
+    "in_order",
     "is_supervisor_record",
     "resolve_jobs",
     "resolve_task",

@@ -30,7 +30,7 @@ import os
 import pickle
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import CampaignInterrupted, ConfigurationError
+from ..errors import ConfigurationError
 from ..exec import (
     FAILED,
     QUARANTINED,
@@ -133,6 +133,29 @@ def _run_chunk(
 OutcomeHook = Callable[[TrialSpec, TrialOutcome], None]
 
 
+def in_order(
+    specs: Sequence[TrialSpec], hook: OutcomeHook
+) -> OutcomeHook:
+    """``hook`` as an ``on_outcome`` that fires in ``specs`` order.
+
+    Each outcome is held back until every spec before it has landed, so
+    a caller can print, account, or journal in serial trial order while
+    a parallel run is still in flight.
+    """
+    slots = {spec.index: slot for slot, spec in enumerate(specs)}
+    held: Dict[int, Tuple[TrialSpec, TrialOutcome]] = {}
+    next_slot = 0
+
+    def on_outcome(spec: TrialSpec, outcome: TrialOutcome) -> None:
+        nonlocal next_slot
+        held[slots[spec.index]] = (spec, outcome)
+        while next_slot in held:
+            hook(*held.pop(next_slot))
+            next_slot += 1
+
+    return on_outcome
+
+
 def run_trials(
     specs: Sequence[TrialSpec],
     jobs: int = 1,
@@ -180,8 +203,8 @@ def run_trials(
     ``shutdown`` (a :class:`GracefulShutdown`) stops the campaign at the
     next trial boundary on SIGINT/SIGTERM: the journal is already flushed
     per-outcome, workers are reaped, and
-    :class:`~repro.errors.CampaignInterrupted` propagates so the caller
-    can advertise ``--resume``.
+    :class:`~repro.errors.CampaignInterrupted` propagates — advertising
+    ``--resume`` only when ``executor`` has a journal to resume from.
 
     ``timers`` (a :class:`~repro.obs.PhaseTimers`) profiles the parent's
     two pool phases — chunk dispatch and result reassembly.  ``progress``
@@ -194,6 +217,7 @@ def run_trials(
     or abandoned) — the seam campaign services use to stream results and
     populate caches while the run is still in flight.  It runs in the
     parent process; exceptions it raises propagate (don't raise).
+    Wrap it in :func:`in_order` to see outcomes in spec order instead.
     """
     jobs = resolve_jobs(jobs)
     executor = executor if executor is not None else ResilientExecutor()
@@ -218,7 +242,8 @@ def run_trials(
 
     if jobs == 1 or len(specs) <= 1:
         for slot, spec in enumerate(specs):
-            _check_shutdown(shutdown, len(specs) - slot)
+            if shutdown is not None and shutdown.requested:
+                break
             land(slot, _run_spec(executor, spec))
     else:
         _check_picklable(specs)
@@ -284,21 +309,11 @@ def run_trials(
                 executor.journal.append(stats.journal_record())
     if owns_reporter:
         reporter.finish()
+    pending = outcomes.count(None)
+    if pending:
+        assert shutdown is not None  # only a shutdown leaves trials unrun
+        raise shutdown.interruption(pending, resumable=executor.journal is not None)
     return [outcome for outcome in outcomes if outcome is not None]
-
-
-def _check_shutdown(
-    shutdown: Optional[GracefulShutdown], pending: int
-) -> None:
-    """Serial-path twin of the supervisor's trial-boundary stop."""
-    if shutdown is None or not shutdown.requested:
-        return
-    raise CampaignInterrupted(
-        f"campaign interrupted by {shutdown.describe()}; "
-        f"{pending} trial(s) not completed — journal is flushed, "
-        "rerun with --resume to continue from this boundary",
-        signum=shutdown.signum,
-    )
 
 
 def _advance_for(reporter: ProgressReporter, outcome: TrialOutcome) -> None:

@@ -18,7 +18,8 @@ failure modes that historically killed whole campaigns:
   recorded as ``failed`` (feeding the quarantine), never silently lost;
 * the parent receives SIGINT/SIGTERM: :class:`GracefulShutdown` turns the
   signal into a flag, the supervisor stops dispatching at the next trial
-  boundary, cancels queued work, reaps the workers, and raises
+  boundary, cancels queued work, reaps the workers, and returns with
+  ``stats.interrupted`` set; the scheduler then raises
   :class:`~repro.errors.CampaignInterrupted` — the journal the caller
   maintained per-result is already flushed, so ``--resume`` continues
   from the exact boundary.
@@ -119,6 +120,30 @@ class SupervisorStats:
         return record
 
 
+def campaign_counts(
+    attempted: int,
+    completed: int,
+    failed: int,
+    stats: Optional[SupervisorStats] = None,
+) -> Dict[str, int]:
+    """A campaign's headline accounting, for tables and logs.
+
+    ``attempted/completed/failed``, plus — when the supervisor had to
+    intervene (pool rebuilds, worker deaths, redispatches) — its nonzero
+    counters, so summaries show *how* the numbers were reached.
+    """
+    counts = {"attempted": attempted, "completed": completed, "failed": failed}
+    if stats is not None and stats.eventful:
+        counts.update(
+            {
+                key: value
+                for key, value in stats.as_dict().items()
+                if isinstance(value, int) and value
+            }
+        )
+    return counts
+
+
 def is_supervisor_record(record: Any) -> bool:
     """Is this journal record an embedded supervisor-stats record?"""
     try:
@@ -171,6 +196,23 @@ class GracefulShutdown:
             except ValueError:  # pragma: no cover - exotic signal numbers
                 return f"signal {self.signum}"
         return "shutdown request"
+
+    def interruption(self, pending: int, resumable: bool) -> CampaignInterrupted:
+        """The error that ends a campaign stopped with ``pending`` trials left.
+
+        Only a ``resumable`` campaign (one with a journal) advertises
+        ``--resume``: without a journal there is nothing to continue from.
+        """
+        message = (
+            f"campaign interrupted by {self.describe()}; "
+            f"{pending} trial(s) not completed"
+        )
+        if resumable:
+            message += (
+                " — journal is flushed, rerun with --resume to continue "
+                "from this boundary"
+            )
+        return CampaignInterrupted(message, signum=self.signum)
 
 
 class _Chunk:
@@ -236,13 +278,19 @@ class PoolSupervisor:
         on_result: Callable[[int, Any], None],
         on_abandon: Callable[[TrialSpec, str], None],
     ) -> SupervisorStats:
-        """Supervised execution of ``chunks``; returns the stats."""
+        """Supervised execution of ``chunks``; returns the stats.
+
+        A shutdown request stops it at the next trial boundary with the
+        workers reaped and ``stats.interrupted`` set; the caller raises.
+        """
         queue: Deque[_Chunk] = deque(_Chunk(list(specs)) for specs in chunks)
         pool = self._new_pool()
         inflight: Dict[Future, _Chunk] = {}
         try:
             while queue or inflight:
-                self._check_shutdown(pool, inflight, queue)
+                if self.shutdown is not None and self.shutdown.requested:
+                    self.stats.interrupted = True
+                    break
                 pool = self._fill(pool, inflight, queue, on_abandon)
                 if not inflight:
                     continue
@@ -288,26 +336,6 @@ class PoolSupervisor:
 
     def _new_pool(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(max_workers=self.jobs)
-
-    def _check_shutdown(
-        self,
-        pool: ProcessPoolExecutor,
-        inflight: Dict[Future, _Chunk],
-        queue: Deque[_Chunk],
-    ) -> None:
-        if self.shutdown is None or not self.shutdown.requested:
-            return
-        self.stats.interrupted = True
-        pending = sum(len(c.specs) for c in queue) + sum(
-            len(c.specs) for c in inflight.values()
-        )
-        self._terminate(pool)
-        raise CampaignInterrupted(
-            f"campaign interrupted by {self.shutdown.describe()}; "
-            f"{pending} trial(s) not completed — journal is flushed, "
-            "rerun with --resume to continue from this boundary",
-            signum=self.shutdown.signum,
-        )
 
     def _fill(
         self,

@@ -153,6 +153,39 @@ class TestResume:
         assert live.status == OK  # c re-runs
 
 
+class TestBegin:
+    """``ResilientExecutor.begin``: every campaign driver opens its journal here."""
+
+    def test_none_path_means_no_journal(self):
+        assert ResilientExecutor().begin(None, resume=True) is None
+
+    def test_fresh_run_truncates_stale_journal(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        Journal(path).append({"key": "stale"})
+        journal = ResilientExecutor().begin(path)
+        assert not journal.exists()
+
+    def test_resume_keeps_existing_records(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        Journal(path).append({"key": "kept", "status": OK, "seed": 1})
+        executor = ResilientExecutor()
+        journal = executor.begin(path, resume=True)
+        assert [r["key"] for r in journal.load()] == ["kept"]
+        assert list(executor.completed) == ["kept"]
+
+    def test_manifest_appended_after_clear_or_load(self, tmp_path):
+        from repro.obs import capture_manifest
+
+        path = tmp_path / "j.jsonl"
+        Journal(path).append({"key": "kept", "status": OK, "seed": 1})
+        manifest = capture_manifest(command="test", argv=[])
+        journal = ResilientExecutor().begin(path, resume=True, manifest=manifest)
+        kinds = [record.get("kind") for record in journal.load()]
+        assert kinds == [None, "manifest"]
+        fresh = ResilientExecutor().begin(path, manifest=manifest)
+        assert [record.get("kind") for record in fresh.load()] == ["manifest"]
+
+
 class TestSerialization:
     def test_default_serialize_prefers_summary(self):
         class WithSummary:

@@ -1,6 +1,6 @@
 """Tests for the JSONL checkpoint journal (repro.exec.journal)."""
 
-from repro.exec import Journal, open_journal
+from repro.exec import Journal
 
 
 class TestJournal:
@@ -48,20 +48,3 @@ class TestJournal:
         journal.clear()
         assert not journal.exists()
         journal.clear()  # idempotent
-
-
-class TestOpenJournal:
-    def test_none_path_means_no_journal(self):
-        assert open_journal(None, resume=True) is None
-
-    def test_fresh_run_truncates_stale_journal(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        Journal(path).append({"key": "stale"})
-        journal = open_journal(path, resume=False)
-        assert not journal.exists()
-
-    def test_resume_keeps_existing_records(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        Journal(path).append({"key": "kept"})
-        journal = open_journal(path, resume=True)
-        assert [r["key"] for r in journal.load()] == ["kept"]

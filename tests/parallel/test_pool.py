@@ -20,6 +20,7 @@ from repro.obs import PHASE_POOL_REASSEMBLY, PhaseTimers
 from repro.parallel import (
     TrialSpec,
     default_chunk_size,
+    in_order,
     resolve_jobs,
     resolve_task,
     run_trials,
@@ -145,6 +146,16 @@ class TestRunTrials:
         outcomes = run_trials(specs, jobs=2, chunk_size=1)
         assert [o.status for o in outcomes] == [OK] * 3
         assert [o.value["x"] for o in outcomes] == [0, 5, 9]
+
+    def test_in_order_hook_sees_spec_order(self):
+        specs = [
+            TrialSpec(index=index, task=echo_task, seed=index, point={"x": index})
+            for index in (3, 0, 7, 1, 4)
+        ]
+        seen = []
+        hook = in_order(specs, lambda spec, outcome: seen.append(outcome.value["x"]))
+        run_trials(specs, jobs=2, chunk_size=1, on_outcome=hook)
+        assert seen == [3, 0, 7, 1, 4]
 
     def test_duplicate_indices_rejected(self):
         specs = [TrialSpec(index=0, task=echo_task, seed=seed) for seed in (1, 2)]

@@ -135,18 +135,33 @@ class TestGracefulShutdown:
 
 
 class TestShutdownBoundary:
-    def test_serial_path_stops_at_trial_boundary(self):
+    def test_serial_path_stops_at_trial_boundary(self, tmp_path):
         shutdown = GracefulShutdown()
         shutdown.request(signal.SIGINT)
         with pytest.raises(CampaignInterrupted) as excinfo:
             run_trials(
                 specs_for(echo_task, 4),
                 jobs=1,
-                executor=ResilientExecutor(),
+                executor=ResilientExecutor(journal=Journal(tmp_path / "j.jsonl")),
                 shutdown=shutdown,
             )
         assert "--resume" in str(excinfo.value)
         assert excinfo.value.signum == signal.SIGINT
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_journal_less_interrupt_does_not_promise_resume(self, jobs):
+        shutdown = GracefulShutdown()
+        shutdown.request(signal.SIGINT)
+        with pytest.raises(CampaignInterrupted) as excinfo:
+            run_trials(
+                specs_for(echo_task, 4),
+                jobs=jobs,
+                executor=ResilientExecutor(),
+                shutdown=shutdown,
+            )
+        message = str(excinfo.value)
+        assert "4 trial(s) not completed" in message
+        assert "--resume" not in message and "journal" not in message
 
     def test_parallel_path_raises_and_journals_the_interrupt(self, tmp_path):
         journal = Journal(tmp_path / "j.jsonl")
@@ -161,6 +176,7 @@ class TestShutdownBoundary:
                 shutdown=shutdown,
             )
         assert "SIGTERM" in str(excinfo.value)
+        assert "--resume" in str(excinfo.value)
         assert executor.last_supervisor_stats.interrupted
         # The interrupt itself is durable: a supervisor record landed.
         kinds = [r for r in journal.load() if is_supervisor_record(r)]

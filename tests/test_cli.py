@@ -1,8 +1,35 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.harness import Check, Experiment, ExperimentReport
+
+
+@pytest.fixture(autouse=True)
+def _in_tmp_dir(tmp_path, monkeypatch):
+    """Campaign commands write manifests (and default journals) to the cwd."""
+    monkeypatch.chdir(tmp_path)
+
+
+def _passing_runner(quick):
+    return ExperimentReport(
+        experiment_id="OK", title="passes", paper_claim="none",
+        rows=[{"quick": quick}], checks=[Check("shape", True)],
+    )
+
+
+def _exploding_runner(quick):
+    raise RuntimeError("experiment blew up")
+
+
+#: Ad-hoc (unregistered) experiments; module-level runners so they pickle.
+AD_HOC = [
+    Experiment("OK", "passes", "none", _passing_runner),
+    Experiment("BOOM", "explodes", "none", _exploding_runner),
+]
 
 
 class TestParser:
@@ -172,6 +199,51 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "0 failure(s)" in out
+
+
+class TestOneCampaignPath:
+    """``run``/``sweep`` take the resilient driver at every ``--jobs``."""
+
+    def test_failing_experiment_same_report_at_any_jobs(self, monkeypatch, capsys):
+        monkeypatch.setattr("repro.cli.all_experiments", lambda: list(AD_HOC))
+        outputs = []
+        for jobs in ("1", "2"):
+            assert main(["run", "all", "--jobs", jobs]) == 1
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert (
+            "status=failed after 1 attempt(s): RuntimeError: experiment blew up"
+            in outputs[0]
+        )
+        assert "experiments: 2 attempted, 1 completed, 1 failed\n" in outputs[0]
+        # Reports print in the order given, each before the summary.
+        assert outputs[0].index("OK: passes") < outputs[0].index("BOOM: explodes")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sweep_raising_trial_is_accounted(self, jobs, capsys):
+        code = main(
+            ["sweep", "--n", "24", "--trials", "2", "--jobs", jobs,
+             "--adversary", "random,no-such-adversary"]
+        )
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "trials: 4 attempted, 2 completed, 2 failed\n" in out
+
+    def test_parallel_run_keeps_no_unrequested_journal(self, tmp_path, capsys):
+        assert main(["run", "E5", "--quick", "--jobs", "2"]) == 0
+        capsys.readouterr()
+        assert not [name for name in os.listdir(tmp_path) if name.endswith(".jsonl")]
+        assert (tmp_path / "repro-run.manifest.json").exists()
+
+    def test_resume_defaults_the_journal_and_manifest_sits_beside_it(
+        self, tmp_path, capsys
+    ):
+        argv = ["sweep", "--n", "24", "--trials", "1", "--out", "s.json"]
+        assert main(argv + ["--resume"]) == 0
+        out = capsys.readouterr().out
+        assert "(journal: .repro-sweep.journal.jsonl)" in out
+        assert (tmp_path / ".repro-sweep.journal.jsonl.manifest.json").exists()
+        assert not (tmp_path / "s.json.manifest.json").exists()
 
 
 class TestObservability:

@@ -1,13 +1,10 @@
-"""Tests for the open-problem explorations (repro.extensions)."""
+"""Tests for the open-problem explorations (Byzantine runners, general graphs)."""
 
 import pytest
 
-from repro.extensions import (
-    run_byzantine_agreement,
-    run_byzantine_election,
-    walk_based_leader_election,
-)
+from repro.extensions import walk_based_leader_election
 from repro.extensions.general_graphs import build_graph, mixing_walk_length
+from repro.faults.byzantine import run_byzantine_agreement, run_byzantine_election
 from repro.rng import RngFactory, seed_sequence
 
 
