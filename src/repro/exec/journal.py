@@ -11,10 +11,9 @@ v2 every appended record is sealed with an envelope:
   lost or duplicated records, not just unparseable ones.
 
 The loader is deliberately forgiving: corrupt lines — unparseable JSON,
-non-object lines, or CRC mismatches — are skipped instead of poisoning a
-resume, and counted in :attr:`Journal.corrupt_lines`.  v1 records (no
-``_crc``) still load and are counted in
-:attr:`Journal.unverified_records`.
+non-object lines, lines without the envelope, or CRC mismatches — are
+skipped instead of poisoning a resume, and counted in
+:attr:`Journal.corrupt_lines`.
 
 Durability of the writer itself:
 
@@ -72,23 +71,17 @@ def seal_record(record: Dict[str, Any], seq: int) -> Dict[str, Any]:
 
 
 def _classify_line(line: str) -> Tuple[str, Optional[Dict[str, Any]]]:
-    """One journal line → (``ok``/``unverified``/``corrupt``, record).
+    """One journal line → (``ok``/``corrupt``, record).
 
-    ``ok`` records carried a matching CRC, ``unverified`` ones predate
-    the envelope (v1), ``corrupt`` covers unparseable JSON, non-object
-    lines, and CRC mismatches.  The returned record has the envelope
-    keys stripped.
+    ``ok`` records carried a matching CRC; ``corrupt`` covers unparseable
+    JSON, non-object lines, lines without the envelope, and CRC
+    mismatches.  The returned record has the envelope keys stripped.
     """
     try:
         record = json.loads(line)
     except json.JSONDecodeError:
         return "corrupt", None
-    if not isinstance(record, dict):
-        return "corrupt", None
-    if CRC_KEY not in record:
-        return "unverified", record
-    expected = record.get(CRC_KEY)
-    if record_crc(record) != expected:
+    if not isinstance(record, dict) or record.get(CRC_KEY) != record_crc(record):
         return "corrupt", None
     record = dict(record)
     record.pop(CRC_KEY, None)
@@ -102,7 +95,6 @@ class Journal:
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         self.corrupt_lines = 0
-        self.unverified_records = 0
         self.verified_records = 0
         #: True once a write failed and the journal fell back to memory.
         self.degraded = False
@@ -248,15 +240,14 @@ class Journal:
     def iter_records(self) -> Iterator[Dict[str, Any]]:
         """Yield intact records in write order (envelope keys stripped).
 
-        :attr:`corrupt_lines`, :attr:`unverified_records`, and
-        :attr:`verified_records` are refreshed as one atomic snapshot
+        :attr:`corrupt_lines` and :attr:`verified_records` are refreshed as one atomic snapshot
         *after* the iteration completes — a partially consumed (or
         concurrent) iteration never leaves another layer reading
         half-reset counters.  After degradation the in-memory records are
         yielded after whatever is still readable on disk, so a
         same-process report sees the whole campaign.
         """
-        corrupt = unverified = verified = 0
+        corrupt = verified = 0
         for raw in self._raw_lines():
             # Binary garbage must not kill the load: decode lossily,
             # the CRC/JSON checks below reject what isn't a record.
@@ -266,16 +257,12 @@ class Journal:
             status, record = _classify_line(line)
             if status == "corrupt":
                 corrupt += 1
-            elif status == "unverified":
-                unverified += 1
-                yield record  # type: ignore[misc]
             else:
                 verified += 1
                 yield record  # type: ignore[misc]
         for record in self._memory:
             yield dict(record)
         self.corrupt_lines = corrupt
-        self.unverified_records = unverified
         self.verified_records = verified
 
     def last_manifest(self) -> Optional[Dict[str, Any]]:
@@ -288,7 +275,7 @@ class Journal:
         Scans the journal from its *tail* and stops at the first manifest
         found, so a mid-campaign call costs one reverse pass over the
         (usually short) suffix instead of re-CRCing the whole file — and
-        it never touches the corrupt/unverified/verified counters.
+        it never touches the corrupt/verified counters.
         """
         from ..obs.provenance import is_manifest_record
 
@@ -334,7 +321,6 @@ class Journal:
         self.degraded = False
         self.degraded_reason = None
         self.corrupt_lines = 0
-        self.unverified_records = 0
         self.verified_records = 0
 
     def close(self) -> None:
@@ -354,7 +340,6 @@ class FsckReport:
     path: str
     total_lines: int = 0
     verified: int = 0
-    unverified: int = 0
     corrupt: int = 0
     torn_tail: bool = False
     seq_duplicates: int = 0
@@ -377,7 +362,6 @@ class FsckReport:
             "clean": self.clean,
             "total_lines": self.total_lines,
             "verified": self.verified,
-            "unverified": self.unverified,
             "corrupt": self.corrupt,
             "torn_tail": self.torn_tail,
             "seq_duplicates": self.seq_duplicates,
@@ -392,7 +376,6 @@ class FsckReport:
             f"journal fsck: {self.path}",
             f"  lines:              {self.total_lines}",
             f"  verified (v2):      {self.verified}",
-            f"  unverified (v1):    {self.unverified}",
             f"  corrupt:            {self.corrupt}"
             + (
                 f" (lines {', '.join(map(str, self.corrupt_line_numbers))})"
@@ -421,7 +404,7 @@ class FsckReport:
 def fsck_journal(path: Union[str, Path], repair: bool = False) -> FsckReport:
     """Audit (and optionally repair) a journal file.
 
-    Reports verified/unverified/corrupt line counts, a torn tail, and
+    Reports verified/corrupt line counts, a torn tail, and
     sequence-number anomalies (duplicates, gaps — the signature of lost
     records).  With ``repair=True`` the journal is rewritten atomically
     with only its intact lines, and every corrupt line (including a torn
@@ -454,14 +437,11 @@ def fsck_journal(path: Union[str, Path], repair: bool = False) -> FsckReport:
             quarantine.append(raw)
             continue
         kept.append(raw)
-        if status == "unverified":
-            report.unverified += 1
-        else:
-            report.verified += 1
-            try:
-                seqs.append(int(json.loads(text)[SEQ_KEY]))
-            except (ValueError, KeyError, TypeError):  # pragma: no cover
-                pass
+        report.verified += 1
+        try:
+            seqs.append(int(json.loads(text)[SEQ_KEY]))
+        except (ValueError, KeyError, TypeError):  # pragma: no cover
+            pass
 
     if seqs:
         unique = set(seqs)

@@ -51,8 +51,6 @@ class Campaign:
     manifest_path: Optional[Path] = None
     journal_path: Optional[Path] = None
     corrupt_lines: int = 0
-    #: v1 records (journalled before per-record checksums) loaded as-is.
-    unverified_records: int = 0
 
     @property
     def trial_records(self) -> List[Dict[str, Any]]:
@@ -85,7 +83,6 @@ def load_campaign(path: Union[str, Path]) -> Campaign:
         journal = Journal(journal_path)
         campaign.records = journal.load()
         campaign.corrupt_lines = journal.corrupt_lines
-        campaign.unverified_records = journal.unverified_records
         campaign.journal_path = journal_path
         if campaign.manifest is None:
             for record in campaign.records:
@@ -261,9 +258,7 @@ def _render_manifest(manifest: Manifest) -> List[str]:
     return lines
 
 
-def _render_counts(
-    counts: Mapping[str, int], corrupt: int, unverified: int = 0
-) -> List[str]:
+def _render_counts(counts: Mapping[str, int], corrupt: int) -> List[str]:
     retries = counts.get("retries", 0)
     statuses = {k: v for k, v in counts.items() if k != "retries"}
     total = sum(statuses.values())
@@ -273,10 +268,6 @@ def _render_counts(
     lines.append(f"  retries (attempts beyond the first): {retries}")
     if corrupt:
         lines.append(f"  corrupt journal lines skipped: {corrupt}")
-    if unverified:
-        lines.append(
-            f"  unverified records (pre-checksum v1 format): {unverified}"
-        )
     return lines
 
 
@@ -345,11 +336,7 @@ def render_campaign_report(campaign: Campaign) -> str:
         lines.append(f"  path: {campaign.journal_path}")
     if trial_records or campaign.journal_path is not None:
         lines.extend(
-            _render_counts(
-                journal_counts(campaign.records),
-                campaign.corrupt_lines,
-                campaign.unverified_records,
-            )
+            _render_counts(journal_counts(campaign.records), campaign.corrupt_lines)
         )
     else:
         lines.append("  <no journal found>")

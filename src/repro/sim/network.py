@@ -49,6 +49,20 @@ from .trace import Trace, TraceEvent
 HARD_MAX_ROUNDS = 1_000_000
 
 
+def _trace_message(
+    kind: str, envelope: Envelope, received: Optional[Round] = None
+) -> TraceEvent:
+    """The trace event of one wire message, keyed by its send round."""
+    return TraceEvent(
+        round=envelope.round_sent,
+        kind=kind,
+        src=envelope.src,
+        dst=envelope.dst,
+        message_kind=envelope.message.kind,
+        round_received=received,
+    )
+
+
 @dataclass
 class RunResult:
     """Everything observable after a run."""
@@ -127,9 +141,10 @@ class Network:
         self.message_budget = message_budget
         self.budget_mode = budget_mode
         self.budget_exhausted = False
-        # Bounded-delay partial synchrony.  Δ=0 (the default) never touches
-        # the schedule inside the round loop — ``_sync`` gates every new
-        # branch, keeping the classic path byte-identical.
+        # Bounded-delay partial synchrony.  Δ=0 (the default) never calls
+        # the schedule inside the round loop — ``_sync`` leaves the delivery
+        # phase without a ``delay`` callback, so every message takes one
+        # round.
         self.delivery = delivery if delivery is not None else SYNCHRONOUS
         self._sync = self.delivery.is_synchronous
         # In-flight delayed messages: arrival round -> envelopes, plus a
@@ -383,14 +398,15 @@ class Network:
             self._pending_dirty = False
         pending = self._pending_senders
         all_queues = self._queues
-        record_send = self._record_send
         track_outboxes = self.adversary.dynamic_selection
         faulty = self.faulty
         metrics = self.metrics
-        # Fast path: without a message budget or tracing, send accounting
-        # is batched per sender (one counter update per sender instead of
-        # one per message) and no TraceEvent is ever constructed.
-        fast_sends = self.message_budget is None and self.trace is None
+        trace = self.trace
+        budget = self.message_budget
+        # Send accounting is batched per sender: one counter update per
+        # sender instead of one per message.  The budget check adds the
+        # sender's not-yet-counted sends, so it sees the same running
+        # total a per-message count would.
         per_kind = metrics.per_kind_messages
         per_node = metrics.per_node_sent
         per_round = metrics.per_round_messages
@@ -407,30 +423,29 @@ class Network:
                 continue
             sent: List[Envelope] = []
             emptied: List[NodeId] = []
-            if fast_sends:
-                bits_total = 0
-                for dst, queue in queues.items():
-                    message = queue.popleft()
-                    queued_total -= 1
-                    if not queue:
-                        emptied.append(dst)
-                    sent.append(Envelope(u, dst, message, r))
-                    bits_total += message.bits
-                    per_kind[message.kind] += 1
-                count = len(sent)
-                metrics.messages_sent += count
-                metrics.bits_sent += bits_total
-                per_node[u] = per_node.get(u, 0) + count
-                per_round[-1] += count
-            else:
-                for dst, queue in queues.items():
-                    message = queue.popleft()
-                    queued_total -= 1
-                    if not queue:
-                        emptied.append(dst)
-                    envelope = Envelope(u, dst, message, r)
-                    if record_send(envelope):
-                        sent.append(envelope)
+            bits_total = 0
+            for dst, queue in queues.items():
+                message = queue.popleft()
+                queued_total -= 1
+                if not queue:
+                    emptied.append(dst)
+                if budget is not None and metrics.messages_sent + len(sent) >= budget:
+                    # The suppress mode models "an algorithm that sends at
+                    # most B messages" for the lower-bound experiments
+                    # (Theorems 4.2/5.2): once the global budget is spent,
+                    # no further message leaves any node.
+                    self.budget_exhausted = True
+                    if self.budget_mode == "raise":
+                        raise BudgetExceeded(
+                            f"message budget {budget} exhausted in round {r}"
+                        )
+                    continue
+                envelope = Envelope(u, dst, message, r)
+                sent.append(envelope)
+                bits_total += message.bits
+                per_kind[message.kind] += 1
+                if trace is not None:
+                    trace.record(_trace_message("send", envelope))
             for dst in emptied:
                 del queues[dst]
             if queues:
@@ -438,6 +453,11 @@ class Network:
             else:
                 pending.discard(u)
             if sent:
+                count = len(sent)
+                metrics.messages_sent += count
+                metrics.bits_sent += bits_total
+                per_node[u] = per_node.get(u, 0) + count
+                per_round[-1] += count
                 wire.extend(sent)
                 if track_outboxes or u in faulty:
                     outboxes[u] = sent
@@ -473,8 +493,8 @@ class Network:
                 continue
             self.crashed[victim] = r
             self.metrics.record_crash()
-            if self.trace is not None:
-                self.trace.record(TraceEvent(round=r, kind="crash", src=victim))
+            if trace is not None:
+                trace.record(TraceEvent(round=r, kind="crash", src=victim))
             # Discard untransmitted queue content of the crashed node.
             for queue in self._queues[victim].values():
                 self._queued_total -= len(queue)
@@ -488,96 +508,30 @@ class Network:
             timers.add(PHASE_CRASH, _now - _mark)
             _mark = _now
 
-        # 4. Delivery scheduling for round r + 1.  The no-trace fast path
-        # skips TraceEvent construction entirely; with tracing on, the
+        # 4. Delivery scheduling for round r + 1.  With tracing on, the
         # deliver event takes ``round_received`` from the Delivery actually
         # handed to the receiver, so the validator checks the real latency.
         #
         # Under a Δ>0 schedule the adversary may hold any surviving wire
         # message extra rounds: those go to the in-flight queue and are
-        # absorbed at the top of their arrival round instead.  The Δ=0
-        # branch below is the classic engine, untouched.
-        trace = self.trace
+        # absorbed at the top of their arrival round instead.  Under Δ=0
+        # ``delay`` is None and the schedule is never consulted.
         new_inboxes = self._inboxes
         next_round = r + 1
+        delay = None if self._sync else self.delivery.delay
+        max_extra = self.delivery.max_delay
+        in_flight = self._in_flight
         delivered = 0
         expired = 0
-        if self._sync:
-            for envelope in wire:
-                src = envelope.src
-                dst = envelope.dst
-                if dropped and (src, dst) in dropped:
-                    metrics.record_drop()
-                    if trace is not None:
-                        trace.record(
-                            TraceEvent(
-                                round=r,
-                                kind="drop",
-                                src=src,
-                                dst=dst,
-                                message_kind=envelope.message.kind,
-                            )
-                        )
-                    continue
-                if dst in crashed:
-                    # Receiver is dead: the message expires.  It still
-                    # counts as sent (the paper's measure), so conservation
-                    # demands it be accounted:
-                    # sent == delivered + dropped + expired.
-                    expired += 1
-                    if trace is not None:
-                        trace.record(
-                            TraceEvent(
-                                round=r,
-                                kind="expire",
-                                src=src,
-                                dst=dst,
-                                message_kind=envelope.message.kind,
-                            )
-                        )
-                    continue
-                delivered += 1
-                delivery = Delivery(src, envelope.message, next_round)
+        for envelope in wire:
+            dst = envelope.dst
+            if dropped and (envelope.src, dst) in dropped:
+                metrics.record_drop()
                 if trace is not None:
-                    trace.record(
-                        TraceEvent(
-                            round=r,
-                            kind="deliver",
-                            src=src,
-                            dst=dst,
-                            message_kind=envelope.message.kind,
-                            round_received=next_round,
-                        )
-                    )
-                inbox = new_inboxes.get(dst)
-                if inbox is None:
-                    new_inboxes[dst] = [delivery]
-                else:
-                    inbox.append(delivery)
-            if delivered:
-                metrics.delivery_latency[1] += delivered
-        else:
-            schedule = self.delivery
-            max_extra = schedule.max_delay
-            in_flight = self._in_flight
-            latency = metrics.delivery_latency
-            for envelope in wire:
-                src = envelope.src
-                dst = envelope.dst
-                if dropped and (src, dst) in dropped:
-                    metrics.record_drop()
-                    if trace is not None:
-                        trace.record(
-                            TraceEvent(
-                                round=r,
-                                kind="drop",
-                                src=src,
-                                dst=dst,
-                                message_kind=envelope.message.kind,
-                            )
-                        )
-                    continue
-                extra = schedule.delay(envelope)
+                    trace.record(_trace_message("drop", envelope))
+                continue
+            if delay is not None:
+                extra = delay(envelope)
                 if extra > 0:
                     # Held in flight; its fate (deliver or expire) is
                     # resolved when the arrival round begins.  The bound is
@@ -592,38 +546,25 @@ class Network:
                         bucket.append(envelope)
                     self._in_flight_total += 1
                     continue
-                if dst in crashed:
-                    expired += 1
-                    if trace is not None:
-                        trace.record(
-                            TraceEvent(
-                                round=r,
-                                kind="expire",
-                                src=src,
-                                dst=dst,
-                                message_kind=envelope.message.kind,
-                            )
-                        )
-                    continue
-                delivered += 1
-                latency[1] += 1
-                delivery = Delivery(src, envelope.message, next_round)
+            if dst in crashed:
+                # Receiver is dead: the message expires.  It still counts
+                # as sent (the paper's measure), so conservation demands it
+                # be accounted: sent == delivered + dropped + expired.
+                expired += 1
                 if trace is not None:
-                    trace.record(
-                        TraceEvent(
-                            round=r,
-                            kind="deliver",
-                            src=src,
-                            dst=dst,
-                            message_kind=envelope.message.kind,
-                            round_received=next_round,
-                        )
-                    )
-                inbox = new_inboxes.get(dst)
-                if inbox is None:
-                    new_inboxes[dst] = [delivery]
-                else:
-                    inbox.append(delivery)
+                    trace.record(_trace_message("expire", envelope))
+                continue
+            delivered += 1
+            delivery = Delivery(envelope.src, envelope.message, next_round)
+            if trace is not None:
+                trace.record(_trace_message("deliver", envelope, next_round))
+            inbox = new_inboxes.get(dst)
+            if inbox is None:
+                new_inboxes[dst] = [delivery]
+            else:
+                inbox.append(delivery)
+        if delivered:
+            metrics.delivery_latency[1] += delivered
         metrics.messages_delivered += delivered
         metrics.messages_expired += expired
         if profiling:
@@ -650,31 +591,13 @@ class Network:
             if dst in crashed:
                 expired += 1
                 if trace is not None:
-                    trace.record(
-                        TraceEvent(
-                            round=envelope.round_sent,
-                            kind="expire",
-                            src=envelope.src,
-                            dst=dst,
-                            message_kind=envelope.message.kind,
-                            round_received=r,
-                        )
-                    )
+                    trace.record(_trace_message("expire", envelope, r))
                 continue
             delivered += 1
             latency[r - envelope.round_sent] += 1
             delivery = Delivery(envelope.src, envelope.message, r)
             if trace is not None:
-                trace.record(
-                    TraceEvent(
-                        round=envelope.round_sent,
-                        kind="deliver",
-                        src=envelope.src,
-                        dst=dst,
-                        message_kind=envelope.message.kind,
-                        round_received=r,
-                    )
-                )
+                trace.record(_trace_message("deliver", envelope, r))
             inbox = inboxes.get(dst)
             if inbox is None:
                 inboxes[dst] = [delivery]
@@ -692,50 +615,10 @@ class Network:
             for envelope in self._in_flight[arrival]:
                 expired += 1
                 if trace is not None:
-                    trace.record(
-                        TraceEvent(
-                            round=envelope.round_sent,
-                            kind="expire",
-                            src=envelope.src,
-                            dst=envelope.dst,
-                            message_kind=envelope.message.kind,
-                            round_received=arrival,
-                        )
-                    )
+                    trace.record(_trace_message("expire", envelope, arrival))
         self._in_flight.clear()
         self._in_flight_total = 0
         metrics.messages_expired += expired
-
-    def _record_send(self, envelope: Envelope) -> bool:
-        """Account for one wire message; False means it was budget-suppressed.
-
-        The suppress mode models "an algorithm that sends at most B
-        messages" for the lower-bound experiments (Theorems 4.2/5.2): once
-        the global budget is spent, no further message leaves any node.
-        """
-        if self.message_budget is not None:
-            if self.metrics.messages_sent >= self.message_budget:
-                self.budget_exhausted = True
-                if self.budget_mode == "raise":
-                    raise BudgetExceeded(
-                        f"message budget {self.message_budget} exhausted "
-                        f"in round {envelope.round_sent}"
-                    )
-                return False
-        message = envelope.message
-        self.metrics.record_send(envelope.src, message.kind, message.bits)
-        if self.trace is not None:
-            # No-trace runs never reach this TraceEvent construction.
-            self.trace.record(
-                TraceEvent(
-                    round=envelope.round_sent,
-                    kind="send",
-                    src=envelope.src,
-                    dst=envelope.dst,
-                    message_kind=message.kind,
-                )
-            )
-        return True
 
     def _view(self) -> RoundView:
         return self._view_with_outboxes({})

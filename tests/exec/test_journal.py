@@ -31,7 +31,11 @@ class TestJournal:
 
     def test_non_dict_lines_count_as_corrupt(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        path.write_text('{"key": "a"}\n[1, 2, 3]\n\n')
+        journal = Journal(path)
+        journal.append({"key": "a"})
+        journal.close()
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("[1, 2, 3]\n\n")
         journal = Journal(path)
         assert [r["key"] for r in journal.load()] == ["a"]
         assert journal.corrupt_lines == 1

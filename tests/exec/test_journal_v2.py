@@ -2,8 +2,8 @@
 
 Every corruption mode the resilience layer claims to survive
 (docs/RESILIENCE.md) gets a test here: torn tails from a process killed
-mid-append, CRC bit-flips, binary garbage, empty files, v1 journals read
-by v2, and a full disk mid-campaign.
+mid-append, CRC bit-flips, binary garbage, empty files, lines without
+the envelope, and a full disk mid-campaign.
 """
 
 import json
@@ -95,24 +95,30 @@ class TestCorruptionRecovery:
         report = fsck_journal(path)
         assert report.clean and report.total_lines == 0
 
-    def test_v1_journal_loads_as_unverified(self, tmp_path):
-        """Pre-checksum journals stay readable — flagged, not rejected."""
+    def test_envelope_less_journal_is_corrupt(self, tmp_path):
+        """A line without ``_crc`` cannot be verified: it is corrupt."""
         path = tmp_path / "j.jsonl"
         path.write_text('{"key": "a"}\n{"key": "b"}\n')
         journal = Journal(path)
-        assert [r["key"] for r in journal.load()] == ["a", "b"]
-        assert journal.unverified_records == 2
+        assert journal.load() == []
         assert journal.verified_records == 0
-        assert journal.corrupt_lines == 0
+        assert journal.corrupt_lines == 2
 
     def test_mixed_v1_v2_journal(self, tmp_path):
+        """An envelope-less line among sealed ones is skipped on load and
+        quarantined by ``fsck --repair``."""
         path = write_v2_journal(tmp_path / "j.jsonl", [{"key": "v2"}])
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"key": "v1"}\n')
         journal = Journal(path)
-        assert [r["key"] for r in journal.load()] == ["v2", "v1"]
+        assert [r["key"] for r in journal.load()] == ["v2"]
         assert journal.verified_records == 1
-        assert journal.unverified_records == 1
+        assert journal.corrupt_lines == 1
+        report = fsck_journal(path, repair=True)
+        assert (report.verified, report.corrupt) == (1, 1)
+        assert report.corrupt_line_numbers == [2]
+        assert journal.corrupt_path.read_text() == '{"key": "v1"}\n'
+        assert fsck_journal(path).clean
 
 
 class TestAppendFastPath:
@@ -197,13 +203,12 @@ class TestClear:
     def test_clear_resets_counters_and_sequence(self, tmp_path):
         path = write_v2_journal(tmp_path / "j.jsonl", [{"key": "a"}])
         with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"key": "v1"}\n')  # one unverified record
+            handle.write('{"key": "v1"}\n')  # envelope-less: corrupt
         journal = Journal(path)
         journal.load()
-        assert (journal.verified_records, journal.unverified_records) == (1, 1)
+        assert (journal.verified_records, journal.corrupt_lines) == (1, 1)
         journal.clear()
         assert journal.verified_records == 0
-        assert journal.unverified_records == 0
         assert journal.corrupt_lines == 0
         journal.append({"key": "fresh"})
         line = json.loads(path.read_text().splitlines()[0])
@@ -233,40 +238,31 @@ class TestCounterSnapshot:
             tmp_path / "j.jsonl", [{"key": "a"}, {"key": "b"}]
         )
         with open(path, "ab") as handle:
-            handle.write(b'{"key": "v1"}\n')  # unverified (no envelope)
+            handle.write(b'{"key": "v1"}\n')  # corrupt (no envelope)
             handle.write(b"\xde\xad garbage\n")  # corrupt
         return Journal(path)
 
     def test_partial_iteration_does_not_clobber_counters(self, tmp_path):
         journal = self._journal_with_one_of_each(tmp_path)
         journal.load()
-        before = (
-            journal.verified_records,
-            journal.unverified_records,
-            journal.corrupt_lines,
-        )
-        assert before == (2, 1, 1)
+        before = (journal.verified_records, journal.corrupt_lines)
+        assert before == (2, 2)
         iterator = journal.iter_records()
         next(iterator)  # consume one record, then abandon the iterator
-        assert (
-            journal.verified_records,
-            journal.unverified_records,
-            journal.corrupt_lines,
-        ) == before
+        assert (journal.verified_records, journal.corrupt_lines) == before
 
     def test_full_iteration_refreshes_counters(self, tmp_path):
         journal = self._journal_with_one_of_each(tmp_path)
-        assert len(list(journal.iter_records())) == 3
+        assert len(list(journal.iter_records())) == 2
         assert journal.verified_records == 2
-        assert journal.unverified_records == 1
-        assert journal.corrupt_lines == 1
+        assert journal.corrupt_lines == 2
 
     def test_interleaved_iterations_are_independent(self, tmp_path):
         journal = self._journal_with_one_of_each(tmp_path)
         outer = journal.iter_records()
         next(outer)
         # A nested full pass (e.g. a report while resume is scanning).
-        assert len(journal.load()) == 3
+        assert len(journal.load()) == 2
         snapshot = (journal.verified_records, journal.corrupt_lines)
         list(outer)  # finishing the outer pass re-lands the same snapshot
         assert (journal.verified_records, journal.corrupt_lines) == snapshot
@@ -340,7 +336,7 @@ class TestFsck:
         path = write_v2_journal(tmp_path / "j.jsonl", [{"key": "a"}, {"key": "b"}])
         report = fsck_journal(path)
         assert report.clean
-        assert (report.verified, report.unverified, report.corrupt) == (2, 0, 0)
+        assert (report.verified, report.corrupt) == (2, 0)
         assert not report.torn_tail
         assert "verdict: clean" in report.render()
 

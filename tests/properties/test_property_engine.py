@@ -4,8 +4,8 @@ Random 'scatter' protocols send random fan-outs under random crash
 adversaries; whatever happens, the engine's conservation laws must hold:
 
 * exact message conservation: every wire message is delivered, dropped,
-  or expired (sent to a dead receiver) — no silent losses, on both the
-  traced and the no-trace fast path;
+  or expired (sent to a dead receiver) — no silent losses, traced or not,
+  with or without delayed delivery;
 * the CONGEST invariant: per round, at most one message per ordered edge;
 * seeds fully determine the run.
 """
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults.strategies import EagerCrash, RandomCrash, StaggeredCrash
-from repro.sim import Message, Network, Protocol, validate_run
+from repro.sim import Message, Network, Protocol, UniformDelay, validate_run
 
 
 class Scatter(Protocol):
@@ -36,7 +36,7 @@ class Scatter(Protocol):
             ctx.idle()
 
 
-def _run(seed, n, fanout, chatty_rounds, adversary, collect_trace=True):
+def _run(seed, n, fanout, chatty_rounds, adversary, collect_trace=True, delivery=None):
     network = Network(
         n,
         lambda u: Scatter(u, fanout, chatty_rounds),
@@ -44,6 +44,7 @@ def _run(seed, n, fanout, chatty_rounds, adversary, collect_trace=True):
         adversary=adversary,
         max_faulty=n // 2,
         collect_trace=collect_trace,
+        delivery=delivery,
     )
     return network.run(chatty_rounds + 10)
 
@@ -88,14 +89,18 @@ class TestConservation:
         n=st.integers(min_value=4, max_value=32),
         fanout=st.integers(min_value=1, max_value=3),
         make_adversary=adversaries,
+        max_delay=st.integers(min_value=0, max_value=2),
     )
     def test_conservation_holds_on_the_no_trace_fast_path(
-        self, seed, n, fanout, make_adversary
+        self, seed, n, fanout, make_adversary, max_delay
     ):
-        """The fast path (no trace, batched sends) must reach the same
-        exact identity — and the same numbers — as the traced path."""
-        traced = _run(seed, n, fanout, 4, make_adversary())
-        fast = _run(seed, n, fanout, 4, make_adversary(), collect_trace=False)
+        """An untraced run must reach the same exact identity — and the
+        same numbers — as the traced run, under Δ = 0, 1 or 2."""
+        delivery = UniformDelay(max_delay, salt=seed)
+        traced = _run(seed, n, fanout, 4, make_adversary(), delivery=delivery)
+        fast = _run(
+            seed, n, fanout, 4, make_adversary(), collect_trace=False, delivery=delivery
+        )
         assert fast.trace is None
         metrics = fast.metrics
         assert metrics.messages_sent == (

@@ -7,7 +7,7 @@ from repro.errors import BudgetExceeded, CongestViolation, SimulationError
 from repro.faults.adversary import Adversary, CrashOrder
 from repro.faults.strategies import EagerCrash, LazyCrash
 from repro.params import CongestBudget
-from repro.sim import Message, Network, Protocol
+from repro.sim import Message, Network, Protocol, UniformDelay
 from repro.types import Knowledge
 
 
@@ -450,20 +450,46 @@ class TestBudget:
             Network(4, lambda u: Chatter(u), budget_mode="bogus")
 
 
+class Spray(Protocol):
+    """In round 1 every node queues `count` messages on each of three edges."""
+
+    def __init__(self, node_id, n, count=3):
+        self.node_id = node_id
+        self.n = n
+        self.count = count
+
+    def on_round(self, ctx, inbox):
+        if ctx.round == 1:
+            for k in (1, 2, 3):
+                dst = (self.node_id + k) % self.n
+                ctx.learn(dst)
+                for i in range(self.count):
+                    ctx.send(dst, Message("X", (i,)))
+        ctx.idle()
+
+
 class TestNoTraceFastPath:
     """Tracing must be an observer: metrics are identical either way."""
 
-    def _metrics(self, collect_trace, message_budget=None):
-        network = Network(
+    def _network(
+        self, collect_trace, message_budget=None, delivery=None, budget_mode="suppress"
+    ):
+        return Network(
             16,
-            lambda u: Chatter(u, count=3),
+            lambda u: Spray(u, 16),
             seed=9,
             adversary=EagerCrash(),
             max_faulty=8,
             collect_trace=collect_trace,
             message_budget=message_budget,
+            budget_mode=budget_mode,
+            delivery=delivery,
         )
-        return network.run(8).metrics
+
+    def _metrics(self, collect_trace, **options):
+        """Run metrics; ``options`` are ``message_budget``, ``delivery``
+        and ``budget_mode``."""
+        return self._network(collect_trace, **options).run(8).metrics
 
     def test_metrics_identical_with_and_without_trace(self):
         traced = self._metrics(collect_trace=True)
@@ -478,12 +504,40 @@ class TestNoTraceFastPath:
         assert trace is not None and trace.events
 
     def test_budgeted_run_metrics_identical_with_and_without_trace(self):
-        # A message budget forces the per-envelope slow path; it must
-        # account exactly like the batched fast path.
+        # A budget that never bites leaves every count as the unbudgeted
+        # run has it, traced or not.
         traced = self._metrics(collect_trace=True, message_budget=10_000)
         untraced = self._metrics(collect_trace=False, message_budget=10_000)
         unbudgeted = self._metrics(collect_trace=False)
         assert untraced == traced == unbudgeted
+
+    def test_budget_biting_mid_sender_accounts_identically(self):
+        # Round 1 puts one message per edge on the wire: 3 per sender, so
+        # a budget of 7 runs out after the first message of node 2.
+        traced_net = self._network(collect_trace=True, message_budget=7)
+        untraced_net = self._network(collect_trace=False, message_budget=7)
+        traced = traced_net.run(8)
+        untraced = untraced_net.run(8)
+        assert untraced.metrics == traced.metrics
+        assert traced_net.budget_exhausted and untraced_net.budget_exhausted
+        sends = list(traced.trace.sends())
+        assert len(sends) == traced.metrics.messages_sent == 7
+        assert traced.metrics.per_node_sent == {0: 3, 1: 3, 2: 1}
+
+    def test_raise_mode_raises_identically_with_and_without_trace(self):
+        messages = []
+        for collect_trace in (True, False):
+            with pytest.raises(BudgetExceeded) as excinfo:
+                self._metrics(collect_trace, message_budget=7, budget_mode="raise")
+            messages.append(str(excinfo.value))
+        assert messages == ["message budget 7 exhausted in round 1"] * 2
+
+    def test_delayed_run_metrics_identical_with_and_without_trace(self):
+        delivery = UniformDelay(2, salt=5)
+        traced = self._metrics(collect_trace=True, delivery=delivery)
+        untraced = self._metrics(collect_trace=False, delivery=delivery)
+        assert untraced == traced
+        assert traced.max_delivery_latency > 1  # the schedule really delayed
 
 
 class TestDeterminism:
