@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """End-to-end smoke of the campaign service (docs/SERVE.md).
 
-Drives a real ``repro serve`` subprocess over HTTP and proves the three
+Drives a real ``repro serve`` subprocess over HTTP and proves the four
 properties the service advertises:
 
 * **Scenario A — fresh campaign.**  Submit a sweep over HTTP
@@ -15,6 +15,11 @@ properties the service advertises:
   -9`` a pool worker mid-stream; the supervised pool must rebuild,
   the stream must complete, and the result must still be byte-identical
   to the serial reference.
+* **Scenario D — serial extension.**  Submit scenario A's spec with one
+  more ``n`` at ``jobs=1``: the settle pass must answer all of scenario
+  A's trials from the cache, only the new point's trials may run (in
+  process: zero pool chunks), and the points must be byte-identical to
+  a serial ``sweep()`` reference.
 
 Exits 0 when every check passes, 1 otherwise.  Linux-only (worker
 discovery walks /proc).
@@ -256,6 +261,39 @@ def scenario_worker_murder(base, spec, reference, serve_pid, timeout):
     return ok
 
 
+def scenario_extension(base, spec, fresh_summary, reference, timeout):
+    """Scenario D: scenario A plus one n at jobs=1; A's trials are hits."""
+    submitted = post_json(base, "/campaigns", spec)
+    log(f"scenario D: submitted {submitted['job']}")
+    records = stream_records(base, submitted["stream_url"], timeout)
+    if not verify_seals(records):
+        return False
+    summary = records[-1]
+    if summary.get("kind") != "summary":
+        return fail("scenario D: stream did not end with a summary")
+    hits = fresh_summary["total_trials"]
+    new_trials = summary["total_trials"] - hits
+    ok = True
+    if summary["cache_hits"] != hits:
+        ok = fail(f"scenario D: {summary['cache_hits']} cache hits, expected {hits}")
+    if summary["dispatched_trials"] != new_trials or summary["dispatched_chunks"]:
+        ok = fail(
+            f"scenario D: expected {new_trials} in-process trials and no chunks "
+            f"(trials={summary['dispatched_trials']}, "
+            f"chunks={summary['dispatched_chunks']})"
+        )
+    if summary["failed"]:
+        ok = fail(f"scenario D: {summary['failed']} trial(s) failed")
+    if canonical(summary["points"]) != canonical(reference):
+        ok = fail("scenario D: points differ from the serial reference")
+    if ok:
+        log(
+            f"scenario D: {hits} cache hits, {new_trials} trials run at jobs=1, "
+            "byte-identical to serial"
+        )
+    return ok
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", default="96,128", help="sweep n axis")
@@ -284,6 +322,9 @@ def main():
     reference = serial_reference(grid, args.trials, args.seed)
     murder_seed = args.seed + 1
     murder_reference = serial_reference(grid, args.trials, murder_seed)
+    extended_grid = dict(grid, n=grid["n"] + [max(grid["n"]) + 32])
+    extended_spec = dict(spec, grid=extended_grid, jobs=1)
+    extended_reference = serial_reference(extended_grid, args.trials, args.seed)
 
     proc, base = start_server(args, workdir)
     try:
@@ -297,6 +338,9 @@ def main():
         ok_c = scenario_worker_murder(
             base, murder_spec, murder_reference, proc.pid, args.timeout
         )
+        ok_d = bool(ok_a) and scenario_extension(
+            base, extended_spec, fresh_summary, extended_reference, args.timeout
+        )
         cache_stats = get_json(base, "/cache")
         log(f"cache stats: {cache_stats}")
     finally:
@@ -306,7 +350,7 @@ def main():
         except subprocess.TimeoutExpired:
             proc.kill()
 
-    if ok_a and ok_b and ok_c:
+    if ok_a and ok_b and ok_c and ok_d:
         log("all scenarios passed")
         return 0
     log("serve smoke FAILED")

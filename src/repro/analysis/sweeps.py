@@ -126,7 +126,7 @@ def _checked_rows(
 
     result = _run_points(
         task, points, trials, master_seed, jobs, ResilientExecutor(),
-        progress, timers, None, backend, label,
+        progress, timers, None, backend, label, None,
     )
     if result.complete:
         return result.rows()
@@ -319,6 +319,7 @@ def resilient_sweep(
     shutdown: Optional[Any] = None,
     backend: Optional[str] = None,
     timers: Optional[PhaseTimers] = None,
+    on_outcome: Optional[Callable[[Any, Any], None]] = None,
 ) -> ResilientSweepResult:
     """Cross ``grid`` like :func:`sweep`, but never die on a bad trial.
 
@@ -355,6 +356,10 @@ def resilient_sweep(
     under a :class:`~repro.parallel.PoolSupervisor` (worker kills, hung
     pools, and missed deadlines rebuild the pool and redispatch in-flight
     chunks); its counters land on the result's ``supervisor`` field.
+
+    ``executor`` replaces the one built from ``timeout_seconds`` and
+    ``retries`` (``repro serve`` passes one with a result ``cache``);
+    ``on_outcome`` is :func:`repro.parallel.run_trials`' per-trial hook.
     """
     from ..exec import ResilientExecutor, RetryPolicy
 
@@ -369,7 +374,7 @@ def resilient_sweep(
     executor.begin(journal_path, resume=resume, manifest=manifest)
     return _run_points(
         task, points, trials, master_seed, jobs, executor, progress, timers,
-        shutdown, backend, "sweep",
+        shutdown, backend, "sweep", on_outcome,
     )
 
 
@@ -385,6 +390,7 @@ def _run_points(
     shutdown: Optional[Any],
     backend: Optional[str],
     label: str,
+    on_outcome: Optional[Callable[[Any, Any], None]],
 ) -> ResilientSweepResult:
     """The one grid driver: ``points`` × ``trials`` through the scheduler.
 
@@ -401,7 +407,7 @@ def _run_points(
     reporter = ensure_progress(progress, total=len(specs), label=label)
     outcomes = run_trials(
         specs, jobs, executor=executor, progress=reporter, timers=timers,
-        shutdown=shutdown,
+        shutdown=shutdown, on_outcome=on_outcome,
     )
     if owns_reporter:
         reporter.finish()

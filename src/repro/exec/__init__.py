@@ -26,7 +26,7 @@ from .executor import (
 )
 from .journal import FsckReport, Journal, fsck_journal, seal_record
 from .retry import RetryPolicy
-from .timeout import call_with_timeout, timeouts_supported
+from .timeout import call_with_timeout
 
 __all__ = [
     "CACHED",
@@ -45,5 +45,4 @@ __all__ = [
     "default_serialize",
     "fsck_journal",
     "seal_record",
-    "timeouts_supported",
 ]

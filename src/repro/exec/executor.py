@@ -1,18 +1,20 @@
 """The resilient trial executor.
 
-``ResilientExecutor.run_trial`` wraps one harness trial — an arbitrary
-``task(seed=..., **kwargs)`` call — with every robustness layer this
-package provides:
+:class:`ResilientExecutor` holds every robustness layer this package
+provides:
 
-* a hard per-trial wall-clock budget (:mod:`repro.exec.timeout`);
-* retry with derived seeds and capped exponential backoff
-  (:mod:`repro.exec.retry`);
-* a quarantine list: a config key that keeps failing is skipped for the
-  rest of the campaign instead of burning its budget again and again;
-* optional journaling of every outcome for ``--resume``
-  (:mod:`repro.exec.journal`).
+* ``run_trial`` runs one harness trial — an arbitrary
+  ``task(seed=..., **kwargs)`` call — under a hard wall-clock budget
+  (:mod:`repro.exec.timeout`) and retry with derived seeds and capped
+  exponential backoff (:mod:`repro.exec.retry`), keeping no state;
+* ``settled_outcome`` answers a trial that must not run: resumed from
+  the ``--resume`` journal (:mod:`repro.exec.journal`), a result-cache
+  hit, or a quarantined config key that keeps failing;
+* ``record`` feeds each fresh outcome to the quarantine, journal, cache.
 
-The executor never lets a trial exception escape: every trial yields a
+:func:`repro.parallel.run_trials` calls the last two in the parent
+process, so state has one owner at every ``jobs``.  The executor never
+lets a trial exception escape: every trial yields a
 :class:`TrialOutcome` with a status, and sweeps aggregate those into
 partial results (:func:`repro.analysis.sweeps.resilient_sweep`) instead
 of dying with the first bad configuration.
@@ -21,14 +23,18 @@ of dying with the first bad configuration.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Union
 
 from ..errors import TrialTimeout
 from .journal import Journal
 from .retry import RetryPolicy
 from .timeout import call_with_timeout
+
+if TYPE_CHECKING:
+    from ..parallel.spec import TrialSpec
+    from ..serve.cache import ResultCache
 
 #: Trial statuses.
 OK = "ok"
@@ -114,7 +120,11 @@ class Quarantine:
 
 
 class ResilientExecutor:
-    """Runs trials with timeouts, retries, quarantine, and journaling."""
+    """Runs trials with timeouts and retries; settles and records them.
+
+    ``cache`` (a :class:`~repro.serve.cache.ResultCache`) answers stored
+    trials ``cached`` without running them and stores fresh successes.
+    """
 
     def __init__(
         self,
@@ -123,16 +133,18 @@ class ResilientExecutor:
         quarantine: Optional[Quarantine] = None,
         journal: Optional[Journal] = None,
         serialize: Callable[[Any], Any] = default_serialize,
+        cache: Optional["ResultCache"] = None,
     ) -> None:
         self.timeout_seconds = timeout_seconds
         self.retry = retry or RetryPolicy()
         self.quarantine = quarantine or Quarantine()
         self.journal = journal
         self.serialize = serialize
+        self.cache = cache
         #: key -> journalled record, loaded by :meth:`load_completed`.
         self.completed: Dict[str, Dict[str, Any]] = {}
-        #: Stats of the last supervised parallel run (see
-        #: :mod:`repro.parallel.supervisor`); ``None`` until one happened.
+        #: Stats of the last ``run_trials`` call's supervised pool (see
+        #: :mod:`repro.parallel.supervisor`); ``None`` when it built none.
         self.last_supervisor_stats: Optional[Any] = None
 
     # -- resume ----------------------------------------------------------
@@ -182,40 +194,56 @@ class ResilientExecutor:
 
     # -- execution -------------------------------------------------------
 
-    def settled_outcome(self, key: str, seed: int) -> Optional[TrialOutcome]:
+    def settled_outcome(self, spec: "TrialSpec") -> Optional[TrialOutcome]:
         """The outcome of a trial that must not execute, else ``None``.
 
-        A key finished in a previous (killed) run comes back ``resumed``
-        with its journalled value; a quarantined key comes back
-        ``quarantined`` (and is journalled).  Serial trials reach this
-        through :meth:`run_trial`; the pool asks it in the parent before
-        dispatching anything.
+        Checked in order: a key finished in a previous (killed) run comes
+        back ``resumed`` with its journalled value; a ``(task, point,
+        seed)`` found in :attr:`cache` comes back ``cached`` with its
+        stored value; a quarantined key comes back ``quarantined`` (and
+        is journalled).  :func:`repro.parallel.run_trials` asks this in
+        the parent for every spec before anything runs.
         """
+        key = spec.trial_key
         record = self.completed.get(key)
         if record is not None:
             return TrialOutcome(
                 key=key,
-                seed=int(record.get("seed", seed)),
+                seed=int(record.get("seed", spec.seed)),
                 status=RESUMED,
                 attempts=int(record.get("attempts", 1)),
                 value=record.get("value"),
             )
+        if self.cache is not None:
+            hit, value = self.cache.get(spec.task, spec.point, spec.seed)
+            if hit:
+                return TrialOutcome(
+                    key=key, seed=spec.seed, status=CACHED, attempts=0, value=value
+                )
         if self.quarantine.blocks(key):
             outcome = TrialOutcome(
-                key=key, seed=seed, status=QUARANTINED, attempts=0,
+                key=key, seed=spec.seed, status=QUARANTINED, attempts=0,
                 error="config quarantined after repeated failures",
             )
             self._journal(outcome)
             return outcome
         return None
 
-    def record(self, outcome: TrialOutcome) -> None:
-        """Feed a freshly executed outcome to the quarantine and journal."""
+    def record(self, spec: "TrialSpec", outcome: TrialOutcome) -> None:
+        """Feed a freshly executed outcome to the quarantine, journal, cache.
+
+        A success is cached under ``outcome.seed``, the seed its value was
+        computed with (a retry's derived seed when the base seed failed).
+        """
         if outcome.ok:
             self.quarantine.record_success(outcome.key)
         else:
             self.quarantine.record_failure(outcome.key)
         self._journal(outcome)
+        if outcome.status == OK and self.cache is not None:
+            self.cache.put(
+                spec.task, spec.point, outcome.seed, self.serialize(outcome.value)
+            )
 
     def run_trial(
         self,
@@ -224,11 +252,10 @@ class ResilientExecutor:
         seed: int,
         **kwargs: Any,
     ) -> TrialOutcome:
-        """Execute ``task(seed=..., **kwargs)`` under the full safety net."""
-        settled = self.settled_outcome(key, seed)
-        if settled is not None:
-            return settled
+        """Execute ``task(seed=..., **kwargs)`` under timeout and retry only.
 
+        Settling and recording are the scheduler's (parent-side) job.
+        """
         started = time.monotonic()
         last_error: Optional[BaseException] = None
         timed_out = False
@@ -246,7 +273,7 @@ class ResilientExecutor:
             except Exception as exc:  # noqa: BLE001 - the whole point
                 last_error, timed_out = exc, False
             else:
-                outcome = TrialOutcome(
+                return TrialOutcome(
                     key=key,
                     seed=attempt_seed,
                     status=OK,
@@ -254,10 +281,7 @@ class ResilientExecutor:
                     value=value,
                     elapsed_seconds=time.monotonic() - started,
                 )
-                self.record(outcome)
-                return outcome
-
-        outcome = TrialOutcome(
+        return TrialOutcome(
             key=key,
             seed=seed,
             status=TIMEOUT if timed_out else FAILED,
@@ -265,8 +289,6 @@ class ResilientExecutor:
             error=f"{type(last_error).__name__}: {last_error}",
             elapsed_seconds=time.monotonic() - started,
         )
-        self.record(outcome)
-        return outcome
 
     def _journal(self, outcome: TrialOutcome) -> None:
         if self.journal is not None:

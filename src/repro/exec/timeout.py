@@ -36,17 +36,6 @@ def _signal_timeouts_usable() -> bool:
     )
 
 
-def timeouts_supported() -> bool:
-    """True when hard deadlines can be enforced here and now.
-
-    Always true since the thread-based fallback: off the main thread the
-    deadline is enforced by joining a worker thread instead of SIGALRM.
-    Kept as a function for API compatibility (executors record which
-    mechanism a run used via :func:`_signal_timeouts_usable`).
-    """
-    return True
-
-
 def _call_with_signal_deadline(
     fn: Callable[..., T],
     timeout_seconds: float,

@@ -15,13 +15,14 @@ Determinism contract
 * Outcomes are placed at their spec's position in the input; chunking
   and completion order are invisible in the output.
 
-One entry point, :func:`run_trials`: every trial runs under the
-:mod:`repro.exec` safety net (per-trial SIGALRM timeout + derived-seed
-retries) — in-process for ``jobs=1``, *inside its worker* otherwise —
-while quarantine consultation, resume lookups, and JSONL journal writes
-stay in the parent, which serialises them (one writer, no cross-process
-file races).  Trial exceptions never escape; they come back as
-``failed`` outcomes for the caller to judge.
+One entry point, :func:`run_trials`: the parent first settles every
+trial that must not run (resumed, cached, or quarantined); the rest run
+under the :mod:`repro.exec` safety net (per-trial SIGALRM timeout +
+derived-seed retries) — in-process for ``jobs=1``, *inside a stateless
+worker* otherwise — and the parent records each outcome in the
+quarantine, journal, and cache (one writer, no cross-process file
+races).  Trial exceptions never escape; they come back as ``failed``
+outcomes for the caller to judge.
 """
 
 from __future__ import annotations
@@ -95,11 +96,6 @@ def _check_picklable(specs: Sequence[TrialSpec]) -> None:
 # Trial execution (module-level so the pool can pickle it)
 # ----------------------------------------------------------------------
 
-#: Per-worker executor cache: one ResilientExecutor per distinct
-#: (timeout, retries) config, reused across every chunk the worker runs.
-_WORKER_EXECUTORS: Dict[Tuple[Optional[float], int], ResilientExecutor] = {}
-
-
 def _run_spec(executor: ResilientExecutor, spec: TrialSpec) -> TrialOutcome:
     """One trial under ``executor`` — the only way a trial is run."""
     return executor.run_trial(
@@ -113,14 +109,9 @@ def _run_chunk(
     retries: int,
 ) -> List[Tuple[int, TrialOutcome]]:
     """Worker: every trial under timeout/retry, never raising."""
-    config = (timeout_seconds, retries)
-    executor = _WORKER_EXECUTORS.get(config)
-    if executor is None:
-        executor = ResilientExecutor(
-            timeout_seconds=timeout_seconds,
-            retry=RetryPolicy(retries=retries),
-        )
-        _WORKER_EXECUTORS[config] = executor
+    executor = ResilientExecutor(
+        timeout_seconds=timeout_seconds, retry=RetryPolicy(retries=retries)
+    )
     return [(spec.index, _run_spec(executor, spec)) for spec in chunk]
 
 
@@ -171,23 +162,29 @@ def run_trials(
     """Run ``specs`` under the resilience layer; outcomes in spec order.
 
     The :class:`~repro.exec.ResilientExecutor` (a fresh one, with no
-    timeout, retries, or journal, when ``executor`` is ``None``) supplies
-    the policy (timeout, retries) and owns the parent-side state:
+    timeout, retries, journal, or cache, when ``executor`` is ``None``)
+    supplies the policy (timeout, retries) and owns the parent-side
+    state.  One settle pass asks ``executor.settled_outcome`` for every
+    spec before anything runs, at every ``jobs``:
 
     * **resume** — specs whose key is in ``executor.completed`` are
       answered from the journal without running;
+    * **cache** — specs whose ``(task, point, seed)`` is in
+      ``executor.cache`` are answered with the stored value;
     * **quarantine** — consulted before a trial runs and fed back with
-      each outcome (success clears strikes, exhausted retries add one);
-    * **journal** — every outcome is appended by the parent only, so the
-      JSONL file has exactly one writer.
+      each outcome (success clears strikes, exhausted retries add one).
 
-    With ``jobs`` resolving to 1 (or a single spec), trials run in this
-    process through the executor itself: no pool, no pickling, and the
-    same shutdown boundary checks.  Otherwise timeout and retry run
-    *inside* the workers (SIGALRM works there: each worker executes
-    trials on its own main thread).  Either way a trial's spec is its
-    identity — indices must be unique, but need not be contiguous — and
-    journal append order follows completion, which resume ignores.
+    Settled outcomes land first, in spec order.  Only the parent passes
+    fresh outcomes to ``executor.record``, so the JSONL journal and the
+    cache have exactly one writer.
+
+    With ``jobs`` resolving to 1, or fewer than two specs left to run,
+    they run in this process through the executor itself: no pool, no
+    pickling, and the same shutdown boundary checks.  Otherwise timeout
+    and retry run *inside* the workers (SIGALRM works there: each worker
+    executes trials on its own main thread).  Either way a trial's spec
+    is its identity — indices must be unique, but need not be contiguous
+    — and journal append order follows completion, which resume ignores.
 
     The parallel path runs under a :class:`PoolSupervisor`: a worker
     killed with ``kill -9``, a hung pool, or a missed chunk deadline
@@ -196,9 +193,9 @@ def run_trials(
     worker is recorded as ``failed`` and counted against the quarantine
     instead of retrying forever).  Re-delivered results are ignored via
     the reassembly slots, so every trial lands exactly once.  Supervisor
-    counters end up on ``executor.last_supervisor_stats`` and — when
-    anything eventful happened — as a ``{"kind": "supervisor"}`` journal
-    record.
+    counters end up on ``executor.last_supervisor_stats`` (``None`` when
+    this call built no pool) and — when anything eventful happened — as
+    a ``{"kind": "supervisor"}`` journal record.
 
     ``shutdown`` (a :class:`GracefulShutdown`) stops the campaign at the
     next trial boundary on SIGINT/SIGTERM: the journal is already flushed
@@ -213,9 +210,9 @@ def run_trials(
     workers still hold work.  Neither affects results.
 
     ``on_outcome(spec, outcome)`` fires once per trial in completion
-    order, as soon as the outcome is final (resumed, quarantined, fresh,
-    or abandoned) — the seam campaign services use to stream results and
-    populate caches while the run is still in flight.  It runs in the
+    order, as soon as the outcome is final (resumed, cached, quarantined,
+    fresh, or abandoned) — the seam campaign services use to stream
+    results while the run is still in flight.  It runs in the
     parent process; exceptions it raises propagate (don't raise).
     Wrap it in :func:`in_order` to see outcomes in spec order instead.
     """
@@ -240,21 +237,25 @@ def run_trials(
         outcomes[slot] = outcome
         announce(slot, outcome)
 
-    if jobs == 1 or len(specs) <= 1:
-        for slot, spec in enumerate(specs):
+    executor.last_supervisor_stats = None
+    pending: List[TrialSpec] = []
+    for slot, spec in enumerate(specs):
+        settled = executor.settled_outcome(spec)
+        if settled is None:
+            pending.append(spec)
+        else:
+            land(slot, settled)
+
+    if jobs == 1 or len(pending) < 2:
+        for spec in pending:
             if shutdown is not None and shutdown.requested:
                 break
-            land(slot, _run_spec(executor, spec))
+            outcome = _run_spec(executor, spec)
+            executor.record(spec, outcome)
+            land(slots[spec.index], outcome)
     else:
-        _check_picklable(specs)
+        _check_picklable(pending)
         reporter.set_workers(jobs)
-        dispatchable: List[TrialSpec] = []
-        for slot, spec in enumerate(specs):
-            settled = executor.settled_outcome(spec.trial_key, spec.seed)
-            if settled is None:
-                dispatchable.append(spec)
-            else:
-                land(slot, settled)
 
         def on_result(index: int, outcome: TrialOutcome) -> None:
             with timers.timed(PHASE_POOL_REASSEMBLY):
@@ -263,11 +264,11 @@ def run_trials(
                 # that was merely slow) may deliver the same trial twice.
                 fresh = outcomes[slot] is None
                 if fresh:
-                    executor.record(outcome)
                     outcomes[slot] = outcome
-            # Caller hooks run outside the timed phase: reassembly
-            # measures slotting, not the caller's streaming or caching.
+            # Recording and caller hooks run outside the timed phase:
+            # reassembly measures slotting, not journal/cache/stream I/O.
             if fresh:
+                executor.record(specs[slot], outcome)
                 announce(slot, outcome)
 
         def on_abandon(spec: TrialSpec, reason: str) -> None:
@@ -299,9 +300,9 @@ def run_trials(
             reporter=reporter,
             timers=timers,
         )
-        size = chunk_size or default_chunk_size(len(dispatchable), jobs)
+        size = chunk_size or default_chunk_size(len(pending), jobs)
         try:
-            supervisor.run(_chunked(dispatchable, size), on_result, on_abandon)
+            supervisor.run(_chunked(pending, size), on_result, on_abandon)
         finally:
             # Interrupted or not, make the supervision events durable: the
             # stats record rides in the journal next to the trial outcomes.

@@ -17,8 +17,8 @@ The cache key is the canonical JSON of::
 addressed by its SHA-256.  Three deliberate choices:
 
 * **The task is its string reference**, so a callable and its
-  ``"module:qualname"`` form hit the same entry
-  (:func:`repro.parallel.spec.canonical_task_ref`).
+  ``"module:qualname"`` form hit the same entry (:func:`cache_key_payload`
+  applies :func:`repro.parallel.spec.canonical_task_ref`).
 * **The engine backend is excluded.**  Backends are exact-parity by
   contract (the vec backend is gated by a cross-backend parity test on
   the canary campaign), so a result computed under ``--backend vec`` is
@@ -26,6 +26,8 @@ addressed by its SHA-256.  Three deliberate choices:
 * **Campaign shape is excluded** (grid order, trials-per-point, jobs):
   seeds are derived before dispatch, so the same ``(task, point, seed)``
   triple yields the same result regardless of which campaign asked.
+  The seed is the one the value was computed with: a retried success
+  is stored under its derived retry seed, never its base seed.
 
 Values are stored *serialised* (the executor's ``default_serialize``
 output — plain JSON), which is exactly what journals, streams, and
@@ -47,9 +49,7 @@ import os
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
-#: Distinguishes "no entry" from a cached ``None`` value.
-_MISS = object()
-
+from ..parallel.spec import TaskRef, canonical_task_ref
 
 def canonical_json(payload: Any) -> str:
     """The one JSON encoding used for keys and stored values."""
@@ -57,10 +57,10 @@ def canonical_json(payload: Any) -> str:
 
 
 def cache_key_payload(
-    task_ref: str, point: Mapping[str, Any], seed: int
+    task: TaskRef, point: Mapping[str, Any], seed: int
 ) -> Dict[str, Any]:
     """The identity of one trial result, as a JSON-safe dict."""
-    return {"task": task_ref, "point": dict(point), "seed": int(seed)}
+    return {"task": canonical_task_ref(task), "point": dict(point), "seed": int(seed)}
 
 
 def cache_key_digest(payload: Mapping[str, Any]) -> str:
@@ -99,7 +99,7 @@ class ResultCache:
     # -- lookup ----------------------------------------------------------
 
     def get(
-        self, task_ref: str, point: Mapping[str, Any], seed: int
+        self, task: TaskRef, point: Mapping[str, Any], seed: int
     ) -> Tuple[bool, Any]:
         """``(hit, value)`` for one trial identity.
 
@@ -108,7 +108,7 @@ class ResultCache:
         stored key payload is always compared, so a hash collision can
         only cost a recomputation, never return a foreign result.
         """
-        payload = cache_key_payload(task_ref, point, seed)
+        payload = cache_key_payload(task, point, seed)
         path = self.entry_path(cache_key_digest(payload))
         try:
             raw = path.read_text(encoding="utf-8")
@@ -131,16 +131,16 @@ class ResultCache:
         return True, entry.get("value")
 
     def contains(
-        self, task_ref: str, point: Mapping[str, Any], seed: int
+        self, task: TaskRef, point: Mapping[str, Any], seed: int
     ) -> bool:
         """Existence probe that does not touch hit/miss counters."""
-        payload = cache_key_payload(task_ref, point, seed)
+        payload = cache_key_payload(task, point, seed)
         return self.entry_path(cache_key_digest(payload)).exists()
 
     # -- insert ----------------------------------------------------------
 
     def put(
-        self, task_ref: str, point: Mapping[str, Any], seed: int, value: Any
+        self, task: TaskRef, point: Mapping[str, Any], seed: int, value: Any
     ) -> None:
         """Store one *serialised* value atomically (idempotent).
 
@@ -148,7 +148,7 @@ class ResultCache:
         form); storing re-encodes it canonically, so cached and fresh
         answers are the same bytes after canonical encoding.
         """
-        payload = cache_key_payload(task_ref, point, seed)
+        payload = cache_key_payload(task, point, seed)
         digest = cache_key_digest(payload)
         path = self.entry_path(digest)
         body = canonical_json({"key": payload, "value": value})

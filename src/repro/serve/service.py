@@ -3,22 +3,22 @@
 :class:`CampaignService` is the transport-independent core of
 ``repro serve``.  It accepts campaign specifications (the same
 ``grid × trials`` shape :func:`repro.analysis.sweeps.sweep` takes),
-queues them, executes each on the supervised process pool, answers every
-trial it has seen before from the persistent
-:class:`~repro.serve.cache.ResultCache`, and publishes progress and
-per-trial results as **sealed journal-v2 records** that the HTTP layer
-streams verbatim — the wire format *is* the journal format, so any
-journal consumer (``repro report``, ``fsck``) understands a captured
-stream.
+queues them, and runs each through
+:func:`~repro.analysis.sweeps.resilient_sweep` — the sweep core every
+CLI campaign shares — with the persistent
+:class:`~repro.serve.cache.ResultCache` on the executor, so every trial
+seen before is answered by the executor's settle pass instead of
+running.  Progress and per-trial results are published as **sealed
+journal-v2 records** that the HTTP layer streams verbatim — the wire
+format *is* the journal format, so any journal consumer (``repro
+report``, ``fsck``) understands a captured stream.
 
 Process shape
 -------------
 
-Everything here is deliberately process-shaped: specs are plain JSON,
-tasks are ``"module:qualname"`` references, results are serialised
-values, and the queue is drained by one worker thread that owns the
-pool.  A multi-machine deployment later replaces the thread with remote
-workers without touching the wire format.
+Specs are plain JSON, tasks are ``"module:qualname"`` references,
+results are serialised values, and the queue is drained by one worker
+thread that owns the pool.
 
 The **single drainer** is also the cache's concurrency story: jobs run
 one at a time, so two overlapping campaigns submitted together dedup
@@ -44,19 +44,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
-from ..analysis.sweeps import enumerate_sweep_specs, grid_points
+from ..analysis.sweeps import grid_points, resilient_sweep
 from ..errors import ConfigurationError
-from ..exec import (
-    CACHED,
-    OK,
-    ResilientExecutor,
-    RetryPolicy,
-    TrialOutcome,
-    seal_record,
-)
+from ..exec import CACHED, ResilientExecutor, RetryPolicy, TrialOutcome, seal_record
 from ..obs.progress import ProgressReporter
 from ..parallel import TrialSpec, canonical_task_ref, resolve_task
-from ..parallel.pool import run_trials
 from .cache import ResultCache
 
 #: Task names the service executes by default.  Names — not references —
@@ -324,19 +316,13 @@ class CampaignService:
 
     def _execute(self, job: Job) -> None:
         spec = job.spec
-        specs = enumerate_sweep_specs(
-            spec.task_ref,
-            spec.grid,
-            spec.trials,
-            master_seed=spec.master_seed,
-            backend=spec.backend,
-        )
+        total = len(grid_points(spec.grid)) * spec.trials
         job.emit(
             {
                 "kind": "campaign",
                 "job": job.id,
                 "task": spec.task_ref,
-                "total_trials": len(specs),
+                "total_trials": total,
                 "grid": spec.grid,
                 "trials": spec.trials,
                 "master_seed": spec.master_seed,
@@ -348,98 +334,61 @@ class CampaignService:
         # heartbeat: progress crosses the wire as JSON records, so the
         # text lines drain into a throwaway buffer.
         reporter = ProgressReporter(
-            total=len(specs),
-            label=job.id,
-            stream=io.StringIO(),
-            interval=float("inf"),
+            total=total, label=job.id, stream=io.StringIO(), interval=float("inf")
         )
         executor = ResilientExecutor(
             timeout_seconds=spec.timeout_seconds,
             retry=RetryPolicy(retries=spec.retries),
+            cache=self.cache,
         )
-        values: Dict[int, Any] = {}
+        hits = 0
         emitted = 0
 
         def emit_trial(trial_spec: TrialSpec, outcome: TrialOutcome) -> None:
-            nonlocal emitted
+            # Cache hits arrive first, in spec order (the settle pass);
+            # fresh trials follow in completion order, so records carry
+            # their ``index`` for readers to reassemble.
+            nonlocal hits, emitted
             record = outcome.journal_record(executor.serialize)
             record["index"] = trial_spec.index
-            if outcome.status == OK:
-                # Cache the *serialised* value — the exact bytes any
-                # future campaign (and this stream) will see.
-                self.cache.put(
-                    spec.task_ref, trial_spec.point, trial_spec.seed, record["value"]
-                )
-            if outcome.ok:
-                values[trial_spec.index] = record["value"]
+            # The sweep folds outcome values into its points: fold the
+            # serialised value this record streams, not the live object.
+            outcome.value = record["value"]
+            hits += outcome.status == CACHED
             job.emit(record)
             emitted += 1
             if emitted % self.progress_every == 0:
                 job.emit(reporter.snapshot())
 
-        # Cache pass: answer every previously-seen trial without
-        # touching the pool.  Hits stream in spec order first; misses
-        # are dispatched below and stream in completion order (records
-        # carry their ``index``, so readers can reassemble).
-        missing: List[TrialSpec] = []
-        hits = 0
-        for trial_spec in specs:
-            hit, value = self.cache.get(
-                spec.task_ref, trial_spec.point, trial_spec.seed
-            )
-            if not hit:
-                missing.append(trial_spec)
-                continue
-            hits += 1
-            reporter.advance(completed=1)
-            emit_trial(
-                trial_spec,
-                TrialOutcome(
-                    key=trial_spec.trial_key,
-                    seed=trial_spec.seed,
-                    status=CACHED,
-                    attempts=0,
-                    value=value,
-                ),
-            )
-
-        if missing:
-            run_trials(
-                missing,
-                jobs=spec.jobs,
-                executor=executor,
-                progress=reporter,
-                on_outcome=emit_trial,
-            )
-        stats = executor.last_supervisor_stats
-        dispatched_chunks = stats.dispatched_chunks if stats is not None else 0
-
-        rows = []
-        for combo_index, point in enumerate(grid_points(spec.grid)):
-            indices = range(
-                combo_index * spec.trials, (combo_index + 1) * spec.trials
-            )
-            results = [values[i] for i in indices if i in values]
-            rows.append(
-                {
-                    "point": point,
-                    "results": results,
-                    "failed": spec.trials - len(results),
-                }
-            )
+        result = resilient_sweep(
+            spec.task_ref,
+            spec.grid,
+            spec.trials,
+            spec.master_seed,
+            executor=executor,
+            jobs=spec.jobs,
+            progress=reporter,
+            backend=spec.backend,
+            on_outcome=emit_trial,
+        )
         job.emit(reporter.snapshot())
         summary = {
             "kind": "summary",
             "job": job.id,
             "task": spec.task_ref,
-            "total_trials": len(specs),
-            "completed": len(values),
-            "failed": len(specs) - len(values),
+            "total_trials": total,
+            "completed": result.completed,
+            "failed": result.failed,
             "cache_hits": hits,
-            "cache_misses": len(missing),
-            "dispatched_trials": len(missing),
-            "dispatched_chunks": dispatched_chunks,
-            "points": rows,
+            "cache_misses": total - hits,
+            "dispatched_trials": total - hits,
+            "dispatched_chunks": (
+                result.supervisor.dispatched_chunks if result.supervisor else 0
+            ),
+            "points": [
+                {"point": p.point, "results": p.results, "failed": p.failed}
+                for p in result.points
+            ],
         }
         job.summary = summary
         job.emit(summary)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import TrialFailed
 from repro.exec import (
+    CACHED,
     FAILED,
     OK,
     QUARANTINED,
@@ -14,9 +15,24 @@ from repro.exec import (
     ResilientExecutor,
     RetryPolicy,
     default_serialize,
-    timeouts_supported,
 )
+from repro.parallel import TrialSpec, run_trials
 from repro.rng import derive_seed
+from repro.serve.cache import ResultCache
+
+
+def echo(seed, **point):
+    """Module-level (so pool-picklable) task: echoes its seed and point."""
+    return {"seed": seed, **point}
+
+
+def run_one(executor, task, key, seed, **point):
+    """One trial through the scheduler's settle/run/record path."""
+    [outcome] = run_trials(
+        [TrialSpec(index=0, task=task, seed=seed, point=point, key=key)],
+        executor=executor,
+    )
+    return outcome
 
 
 class FlakyTask:
@@ -74,7 +90,15 @@ class TestRunTrial:
         assert outcome.attempts == 3
         assert "flake #3" in outcome.error
 
-    @pytest.mark.skipif(not timeouts_supported(), reason="no SIGALRM here")
+    def test_only_executes(self, tmp_path):
+        """Settling and recording belong to the scheduler, not run_trial."""
+        journal = Journal(tmp_path / "j.jsonl")
+        executor = ResilientExecutor(journal=journal)
+        executor.completed["k"] = {"key": "k", "status": OK, "value": "journal"}
+        outcome = executor.run_trial(FlakyTask(), key="k", seed=1)
+        assert outcome.status == OK and outcome.value == {"seed": 1}
+        assert not journal.exists()
+
     def test_timeout_status(self):
         import time
 
@@ -91,10 +115,10 @@ class TestQuarantine:
         quarantine = Quarantine(threshold=2)
         executor = ResilientExecutor(quarantine=quarantine)
         bad = FlakyTask(failures=10 ** 6)
-        assert executor.run_trial(bad, key="k", seed=0).status == FAILED
-        assert executor.run_trial(bad, key="k", seed=1).status == FAILED
+        assert run_one(executor, bad, "k", 0).status == FAILED
+        assert run_one(executor, bad, "k", 1).status == FAILED
         calls_before = bad.calls
-        outcome = executor.run_trial(bad, key="k", seed=2)
+        outcome = run_one(executor, bad, "k", 2)
         assert outcome.status == QUARANTINED
         assert outcome.attempts == 0
         assert bad.calls == calls_before  # never invoked
@@ -116,41 +140,77 @@ class TestQuarantine:
 class TestResume:
     def test_completed_trials_are_not_rerun(self, tmp_path):
         journal = Journal(tmp_path / "j.jsonl")
-        first = ResilientExecutor(journal=journal)
-        first.run_trial(FlakyTask(), key="done", seed=3, n=8)
+        run_one(ResilientExecutor(journal=journal), FlakyTask(), "done", 3, n=8)
 
         second = ResilientExecutor(journal=journal)
         assert second.load_completed() == 1
         task = FlakyTask()
-        outcome = second.run_trial(task, key="done", seed=3, n=8)
+        outcome = run_one(second, task, "done", 3, n=8)
         assert outcome.status == RESUMED and outcome.ok
         assert task.calls == 0  # resumed from the journal, not re-executed
         assert outcome.value == {"seed": 3, "n": 8}
 
     def test_failed_trials_are_retried_on_resume(self, tmp_path):
         journal = Journal(tmp_path / "j.jsonl")
-        first = ResilientExecutor(journal=journal)
-        first.run_trial(FlakyTask(failures=10), key="bad", seed=0)
+        run_one(ResilientExecutor(journal=journal), FlakyTask(failures=10), "bad", 0)
+        assert journal.load()[0]["status"] == FAILED
 
         second = ResilientExecutor(journal=journal)
         assert second.load_completed() == 0  # failures are not resumable
-        outcome = second.run_trial(FlakyTask(), key="bad", seed=0)
+        outcome = run_one(second, FlakyTask(), "bad", 0)
         assert outcome.status == OK  # ran live this time
 
     def test_resume_survives_half_written_journal(self, tmp_path):
         """A process killed mid-append must not poison the resume."""
         journal = Journal(tmp_path / "j.jsonl")
         first = ResilientExecutor(journal=journal)
-        first.run_trial(FlakyTask(), key="a", seed=0)
-        first.run_trial(FlakyTask(), key="b", seed=1)
+        run_one(first, FlakyTask(), "a", 0)
+        run_one(first, FlakyTask(), "b", 1)
         with open(journal.path, "a", encoding="utf-8") as handle:
             handle.write('{"key": "c", "status": "ok", "val')  # torn write
 
         second = ResilientExecutor(journal=journal)
         assert second.load_completed() == 2  # a and b survive, c does not
-        assert second.run_trial(FlakyTask(), key="a", seed=0).status == RESUMED
-        live = second.run_trial(FlakyTask(), key="c", seed=2)
+        assert run_one(second, FlakyTask(), "a", 0).status == RESUMED
+        live = run_one(second, FlakyTask(), "c", 2)
         assert live.status == OK  # c re-runs
+
+
+class TestSettlePass:
+    """``run_trials`` settles every spec in the parent before anything runs."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_resumed_cached_and_fresh_in_one_call(self, tmp_path, jobs):
+        specs = [
+            TrialSpec(index=i, task=echo, seed=10 + i, point={"n": i}, key=f"k{i}")
+            for i in range(4)
+        ]
+        journal = Journal(tmp_path / "j.jsonl")
+        journal.append({"key": "k0", "seed": 10, "status": OK, "value": "journal"})
+        cache = ResultCache(tmp_path / "cache")
+        cache.put(echo, {"n": 1}, 11, "cache")
+        executor = ResilientExecutor(journal=journal, cache=cache)
+        executor.load_completed()
+        seen = []
+        outcomes = run_trials(
+            specs, jobs, executor=executor,
+            on_outcome=lambda spec, outcome: seen.append((spec.key, outcome.status)),
+        )
+        assert [o.status for o in outcomes] == [RESUMED, CACHED, OK, OK]
+        assert [o.value for o in outcomes] == [
+            "journal", "cache", {"seed": 12, "n": 2}, {"seed": 13, "n": 3},
+        ]
+        # Settled outcomes land first, in spec order, at every jobs.
+        assert seen[:2] == [("k0", RESUMED), ("k1", CACHED)]
+        assert [status for _, status in seen] == [RESUMED, CACHED, OK, OK]
+        # Fresh successes were recorded by the parent: cached and journalled.
+        assert cache.get(echo, {"n": 2}, 12) == (True, {"seed": 12, "n": 2})
+        assert executor.load_completed() == 3
+
+        # Now every spec is settled: nothing runs and no pool is built.
+        again = run_trials(specs, jobs, executor=executor)
+        assert [o.status for o in again] == [RESUMED, CACHED, RESUMED, RESUMED]
+        assert executor.last_supervisor_stats is None
 
 
 class TestBegin:
@@ -200,7 +260,7 @@ class TestSerialization:
     def test_journal_records_are_json_safe(self, tmp_path):
         journal = Journal(tmp_path / "j.jsonl")
         executor = ResilientExecutor(journal=journal)
-        executor.run_trial(lambda seed: {"seed": seed}, key="k", seed=5)
+        run_one(executor, lambda seed: {"seed": seed}, "k", 5)
         (record,) = journal.load()
         assert record["key"] == "k"
         assert record["status"] == OK

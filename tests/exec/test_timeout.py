@@ -7,11 +7,7 @@ import time
 import pytest
 
 from repro.errors import TrialFailed, TrialTimeout
-from repro.exec import call_with_timeout, timeouts_supported
-
-needs_timeouts = pytest.mark.skipif(
-    not timeouts_supported(), reason="SIGALRM timeouts unavailable here"
-)
+from repro.exec import call_with_timeout
 
 
 def _in_worker_thread(fn):
@@ -42,11 +38,9 @@ class TestCallWithTimeout:
         assert call_with_timeout(lambda x: x + 1, None, 41) == 42
         assert call_with_timeout(lambda x: x + 1, 0, 41) == 42
 
-    @needs_timeouts
     def test_fast_call_completes(self):
         assert call_with_timeout(lambda: "done", 5.0) == "done"
 
-    @needs_timeouts
     def test_slow_call_raises_trial_timeout(self):
         def stall():
             deadline = time.monotonic() + 5.0
@@ -58,12 +52,10 @@ class TestCallWithTimeout:
             call_with_timeout(stall, 0.05)
         assert time.monotonic() - started < 1.0
 
-    @needs_timeouts
     def test_timeout_is_a_trial_failure(self):
         with pytest.raises(TrialFailed):
             call_with_timeout(time.sleep, 0.05, 5.0)
 
-    @needs_timeouts
     def test_handler_and_timer_restored(self):
         before = signal.getsignal(signal.SIGALRM)
         call_with_timeout(lambda: None, 5.0)
@@ -74,7 +66,6 @@ class TestCallWithTimeout:
         # No pending alarm may fire after the call returned.
         time.sleep(0.08)
 
-    @needs_timeouts
     def test_exceptions_propagate_and_clean_up(self):
         before = signal.getsignal(signal.SIGALRM)
         with pytest.raises(ValueError):
@@ -84,12 +75,6 @@ class TestCallWithTimeout:
 
 class TestThreadFallback:
     """Deadlines enforced off the main thread (no SIGALRM available)."""
-
-    def test_supported_everywhere(self):
-        # The fallback makes deadlines universally available; callers that
-        # used to degrade to uncapped runs now always get a budget.
-        assert timeouts_supported()
-        assert _in_worker_thread(timeouts_supported)
 
     def test_fast_call_completes_off_main_thread(self):
         assert _in_worker_thread(lambda: call_with_timeout(lambda: "ok", 5.0)) == "ok"

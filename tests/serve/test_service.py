@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro.analysis.sweeps import sweep
+from repro.analysis.sweeps import enumerate_sweep_specs, sweep
 from repro.errors import ConfigurationError
 from repro.exec import default_serialize
 from repro.exec.journal import CRC_KEY, SEQ_KEY, record_crc
@@ -25,6 +25,20 @@ SPEC = {"task": "election", "grid": GRID, "trials": 2, "master_seed": 11}
 def backend_echo(seed, backend=None, **point):
     """Module-level task ref: reports the backend the trial received."""
     return backend
+
+
+#: The base seeds of every trial of SPEC's sweep.
+BASE_SEEDS = {
+    spec.seed
+    for spec in enumerate_sweep_specs("x:y", GRID, trials=2, master_seed=11)
+}
+
+
+def fails_on_base_seeds(seed, **point):
+    """Module-level task ref: raises on SPEC's base seeds, so only retries succeed."""
+    if seed in BASE_SEEDS:
+        raise RuntimeError(f"base seed {seed}")
+    return {"seed": seed, **point}
 
 
 def wait_done(job, timeout=60.0):
@@ -254,6 +268,26 @@ class TestExecution:
         assert more.summary["dispatched_trials"] == 2
         assert canonical_json(more.summary["points"]) == canonical_json(
             serial_reference(trials=3)
+        )
+
+    def test_retried_success_is_cached_under_its_retry_seed(self, tmp_path):
+        """A retry-free resubmission must not be served a retried success."""
+        spec = dict(SPEC, task=f"{__name__}:fails_on_base_seeds")
+        service = CampaignService(cache_dir=tmp_path / "cache", allow_task_refs=True)
+        fresh = CampaignService(cache_dir=tmp_path / "fresh", allow_task_refs=True)
+        try:
+            retried = wait_done(service.submit(dict(spec, retries=1)))
+            again = wait_done(service.submit(dict(spec, retries=0)))
+            reference = wait_done(fresh.submit(dict(spec, retries=0)))
+        finally:
+            service.close()
+            fresh.close()
+        assert retried.summary["failed"] == 0
+        assert reference.summary["failed"] == 4
+        assert again.summary["cache_hits"] == 0
+        assert again.summary["failed"] == reference.summary["failed"]
+        assert canonical_json(again.summary["points"]) == canonical_json(
+            reference.summary["points"]
         )
 
     def test_progress_records_carry_counters(self, tmp_path):
