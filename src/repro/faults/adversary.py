@@ -11,15 +11,17 @@ The engine consults the adversary twice:
 
 The adversary is omniscient: the :class:`RoundView` exposes the messages
 faulty nodes are sending this round and (for fully adaptive strategies)
-the protocol objects themselves.
+the protocol objects themselves.  Both engines keep the resulting fault
+state in one :class:`FaultLedger`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
+from ..errors import SimulationError
 from ..types import NodeId, Round
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports (avoid cycles)
@@ -67,7 +69,9 @@ class RoundView:
 
     round: Round
     n: int
-    #: Faulty nodes that have not crashed yet.
+    #: Faulty nodes that have not crashed yet.  Engines pass their live
+    #: set itself: read it, never mutate it, and do not keep it past the
+    #: call it was handed to.
     faulty_alive: Set[NodeId]
     #: Nodes already crashed, with their crash round.
     crashed: Dict[NodeId, Round]
@@ -81,8 +85,8 @@ class RoundView:
     budget_remaining: int = 0
 
     def sending_faulty(self) -> List[NodeId]:
-        """Faulty alive nodes that are sending at least one message now."""
-        return [u for u in self.faulty_alive if self.outboxes.get(u)]
+        """Faulty alive nodes sending at least one message now, in id order."""
+        return [u for u in sorted(self.faulty_alive) if self.outboxes.get(u)]
 
 
 class Adversary:
@@ -135,3 +139,82 @@ class Adversary:
     def name(self) -> str:
         """Short human-readable name (used in experiment tables)."""
         return type(self).__name__
+
+
+class FaultLedger:
+    """The fault state of one run: the checked static selection, the
+    crash rounds, and ``alive`` (the faulty nodes not crashed yet), which
+    :meth:`crash` updates in place so :meth:`view` never rebuilds it.
+    """
+
+    def __init__(
+        self,
+        adversary: Adversary,
+        n: int,
+        max_faulty: int,
+        rng: random.Random,
+        inputs: Optional[Sequence[int]] = None,
+    ) -> None:
+        self.adversary = adversary
+        self.n = n
+        self.max_faulty = max_faulty
+        #: The adversary stream: selection, then every ``plan_round``.
+        self.rng = rng
+        self.faulty: Set[NodeId] = set(
+            adversary.select_faulty(n, max_faulty, rng, inputs)
+        )
+        if len(self.faulty) > max_faulty:
+            raise SimulationError(
+                f"adversary selected {len(self.faulty)} faulty nodes, "
+                f"budget is {max_faulty}"
+            )
+        self.crashed: Dict[NodeId, Round] = {}
+        self.alive: Set[NodeId] = set(self.faulty)
+
+    def view(
+        self,
+        round_: Round,
+        outboxes: Mapping[NodeId, Sequence["Envelope"]],
+        protocols: Sequence["Protocol"] = (),
+    ) -> RoundView:
+        """The adversary's view of ``round_``; O(1), shares ``alive``."""
+        return RoundView(
+            round=round_,
+            n=self.n,
+            faulty_alive=self.alive,
+            crashed=self.crashed,
+            outboxes=outboxes,
+            protocols=protocols,
+            budget_remaining=max(0, self.max_faulty - len(self.faulty)),
+        )
+
+    def crash(
+        self, orders: Mapping[NodeId, CrashOrder], round_: Round
+    ) -> List[Tuple[NodeId, CrashOrder]]:
+        """Apply ``plan_round``'s orders; return the new crashes in order.
+
+        A victim outside the faulty set is an adversary bug, unless the
+        adversary selects dynamically: then the victim is corrupted on the
+        spot and charged to the budget (paper: static selection only —
+        this path exists for experiment E14's demonstration).  Victims
+        that already crashed are skipped.
+        """
+        new: List[Tuple[NodeId, CrashOrder]] = []
+        for victim, order in orders.items():
+            if victim not in self.faulty:
+                if not self.adversary.dynamic_selection:
+                    raise SimulationError(
+                        f"adversary crashed non-faulty node {victim}"
+                    )
+                if len(self.faulty) >= self.max_faulty:
+                    raise SimulationError(
+                        "dynamic-selection adversary exceeded the fault "
+                        f"budget {self.max_faulty}"
+                    )
+                self.faulty.add(victim)
+            elif victim in self.crashed:
+                continue
+            self.crashed[victim] = round_
+            self.alive.discard(victim)
+            new.append((victim, order))
+        return new

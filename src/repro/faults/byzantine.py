@@ -34,7 +34,7 @@ whole protocol with ``byzantine_count`` attackers swapped in and return a
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set
 
 from ..core.agreement import MSG_VALUE, AgreementProtocol
@@ -411,14 +411,8 @@ class ByzantineAdversary(Adversary):
     def _crash_view(self, view: RoundView) -> RoundView:
         """The wrapped adversary's view: Byzantine nodes are not crashable."""
         byzantine = self._byzantine
-        return RoundView(
-            round=view.round,
-            n=view.n,
-            faulty_alive={u for u in view.faulty_alive if u not in byzantine},
-            crashed=view.crashed,
-            outboxes=view.outboxes,
-            protocols=view.protocols,
-            budget_remaining=view.budget_remaining,
+        return replace(
+            view, faulty_alive={u for u in view.faulty_alive if u not in byzantine}
         )
 
     def plan_round(

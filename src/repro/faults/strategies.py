@@ -21,6 +21,10 @@ reason about:
   natural worst case for the Section IV-A algorithm (kill the would-be
   leader every iteration).
 
+Every strategy takes its victims in id order, so the order in which
+``keep_fraction`` draws from the adversary stream never depends on how a
+set happens to iterate.
+
 Every strategy here issues *crashes* only.  To additionally assign some
 nodes omission or Byzantine behaviour, wrap any of these in
 :class:`repro.faults.byzantine.ByzantineAdversary` with a per-node
@@ -32,9 +36,9 @@ budget.
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
-from ..types import NodeId
+from ..types import NodeId, Round
 from .adversary import Adversary, CrashOrder, RoundView
 
 
@@ -45,6 +49,12 @@ def _uniform_faulty(
     if max_faulty <= 0:
         return set()
     return set(rng.sample(range(n), min(max_faulty, n)))
+
+
+def _smaller_half(view: RoundView, node: NodeId) -> CrashOrder:
+    """Deliver only to the smaller half of ``node``'s destinations."""
+    destinations = sorted(envelope.dst for envelope in view.outboxes.get(node, []))
+    return CrashOrder.keep_destinations(set(destinations[: len(destinations) // 2]))
 
 
 class NoFaults(Adversary):
@@ -69,7 +79,7 @@ class EagerCrash(Adversary):
     def plan_round(self, view: RoundView, rng: random.Random):
         if view.round != 1:
             return {}
-        return {u: CrashOrder.drop_all() for u in view.faulty_alive}
+        return {u: CrashOrder.drop_all() for u in sorted(view.faulty_alive)}
 
     def done(self, view: RoundView) -> bool:
         return view.round > 1 or not view.faulty_alive
@@ -94,7 +104,7 @@ class LazyCrash(Adversary):
     def plan_round(self, view: RoundView, rng: random.Random):
         if self.crash_round is None or view.round != self.crash_round:
             return {}
-        return {u: CrashOrder.drop_all() for u in view.faulty_alive}
+        return {u: CrashOrder.drop_all() for u in sorted(view.faulty_alive)}
 
     def done(self, view: RoundView) -> bool:
         if self.crash_round is None:
@@ -105,7 +115,48 @@ class LazyCrash(Adversary):
         return f"lazy@{self.crash_round}" if self.crash_round else "lazy-never"
 
 
-class RandomCrash(Adversary):
+class _ScheduledCrash(Adversary):
+    """Each faulty node crashes in an independent uniform round of
+    ``[1, horizon]``; subclasses decide which last messages survive.
+
+    The schedule is bucketed by round, victims in id order, so a round
+    costs only its own victims and :meth:`done` is O(1).
+    """
+
+    def __init__(self, horizon: int) -> None:
+        if horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {horizon}")
+        self.horizon = horizon
+        self._by_round: Dict[Round, List[NodeId]] = {}
+
+    def select_faulty(self, n, max_faulty, rng, inputs=None):
+        faulty = _uniform_faulty(n, max_faulty, rng)
+        by_round: Dict[Round, List[NodeId]] = {}
+        for u in faulty:
+            by_round.setdefault(rng.randint(1, self.horizon), []).append(u)
+        for victims in by_round.values():
+            victims.sort()
+        self._by_round = by_round
+        return faulty
+
+    def _crash_order(
+        self, view: RoundView, node: NodeId, rng: random.Random
+    ) -> CrashOrder:
+        raise NotImplementedError
+
+    def plan_round(self, view: RoundView, rng: random.Random):
+        alive = view.faulty_alive
+        return {
+            u: self._crash_order(view, u, rng)
+            for u in self._by_round.get(view.round, ())
+            if u in alive
+        }
+
+    def done(self, view: RoundView) -> bool:
+        return view.round > self.horizon or not view.faulty_alive
+
+
+class RandomCrash(_ScheduledCrash):
     """Each faulty node crashes in a random round of ``[1, horizon]``.
 
     In its crash round, each of its wire messages is delivered
@@ -113,28 +164,15 @@ class RandomCrash(Adversary):
     """
 
     def __init__(self, horizon: int, keep_probability: float = 0.5) -> None:
-        if horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {horizon}")
+        super().__init__(horizon)
         if not 0.0 <= keep_probability <= 1.0:
-            raise ValueError(f"keep_probability must be in [0,1]")
-        self.horizon = horizon
+            raise ValueError(
+                f"keep_probability must be in [0,1], got {keep_probability}"
+            )
         self.keep_probability = keep_probability
-        self._schedule: Dict[NodeId, int] = {}
 
-    def select_faulty(self, n, max_faulty, rng, inputs=None):
-        faulty = _uniform_faulty(n, max_faulty, rng)
-        self._schedule = {u: rng.randint(1, self.horizon) for u in faulty}
-        return faulty
-
-    def plan_round(self, view: RoundView, rng: random.Random):
-        orders = {}
-        for u in view.faulty_alive:
-            if self._schedule.get(u) == view.round:
-                orders[u] = CrashOrder.keep_fraction(self.keep_probability, rng)
-        return orders
-
-    def done(self, view: RoundView) -> bool:
-        return view.round > self.horizon or not view.faulty_alive
+    def _crash_order(self, view, node, rng):
+        return CrashOrder.keep_fraction(self.keep_probability, rng)
 
     def name(self) -> str:
         return f"random@{self.horizon}"
@@ -183,7 +221,7 @@ class StaggeredCrash(Adversary):
         return f"staggered/{self.period}"
 
 
-class SplitDeliveryCrash(Adversary):
+class SplitDeliveryCrash(_ScheduledCrash):
     """Like :class:`RandomCrash`, but a crashing node delivers to exactly
     the lexicographically smaller half of its destinations.
 
@@ -191,30 +229,8 @@ class SplitDeliveryCrash(Adversary):
     views of the crashed sender, the core difficulty of Section IV-A.
     """
 
-    def __init__(self, horizon: int) -> None:
-        if horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {horizon}")
-        self.horizon = horizon
-        self._schedule: Dict[NodeId, int] = {}
-
-    def select_faulty(self, n, max_faulty, rng, inputs=None):
-        faulty = _uniform_faulty(n, max_faulty, rng)
-        self._schedule = {u: rng.randint(1, self.horizon) for u in faulty}
-        return faulty
-
-    def plan_round(self, view: RoundView, rng: random.Random):
-        orders = {}
-        for u in view.faulty_alive:
-            if self._schedule.get(u) != view.round:
-                continue
-            outbox = view.outboxes.get(u, [])
-            destinations = sorted(envelope.dst for envelope in outbox)
-            kept = set(destinations[: len(destinations) // 2])
-            orders[u] = CrashOrder.keep_destinations(kept)
-        return orders
-
-    def done(self, view: RoundView) -> bool:
-        return view.round > self.horizon or not view.faulty_alive
+    def _crash_order(self, view, node, rng):
+        return _smaller_half(view, node)
 
     def name(self) -> str:
         return f"split@{self.horizon}"
@@ -261,10 +277,7 @@ class AdaptiveMinProposerCrash(Adversary):
         if not scored:
             return {}
         _, victim = min(scored)
-        outbox = view.outboxes.get(victim, [])
-        destinations = sorted(envelope.dst for envelope in outbox)
-        kept = set(destinations[: len(destinations) // 2])
-        return {victim: CrashOrder.keep_destinations(kept)}
+        return {victim: _smaller_half(view, victim)}
 
     def done(self, view: RoundView) -> bool:
         # Adaptive: may strike whenever a faulty node is still sending, but

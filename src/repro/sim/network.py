@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import BudgetExceeded, CongestViolation, SimulationError
-from ..faults.adversary import Adversary, RoundView
+from ..faults.adversary import Adversary, FaultLedger
 from ..obs.timing import (
     NULL_TIMERS,
     PHASE_CRASH,
@@ -165,18 +165,11 @@ class Network:
                 ctx._known.update(u for u in range(n) if u != ctx.node_id)
         self.protocols: List[Protocol] = [protocol_factory(u) for u in range(n)]
 
-        adversary_rng = self._rngs.adversary_stream()
-        self._adversary_rng = adversary_rng
-        self.max_faulty = max_faulty
-        self.faulty: Set[NodeId] = set(
-            self.adversary.select_faulty(n, max_faulty, adversary_rng, inputs)
+        self.ledger = FaultLedger(
+            self.adversary, n, max_faulty, self._rngs.adversary_stream(), inputs
         )
-        if len(self.faulty) > max_faulty:
-            raise SimulationError(
-                f"adversary selected {len(self.faulty)} faulty nodes, "
-                f"budget is {max_faulty}"
-            )
-        self.crashed: Dict[NodeId, Round] = {}
+        self.faulty = self.ledger.faulty
+        self.crashed = self.ledger.crashed
 
         # Per-sender FIFO queues: sender -> dst -> deque of Messages.
         self._queues: List[Dict[NodeId, Deque[Message]]] = [dict() for _ in range(n)]
@@ -193,7 +186,6 @@ class Network:
         self._pending_list: List[NodeId] = []
         self._pending_dirty = False
         self._inboxes: Dict[NodeId, List[Delivery]] = {}
-        self._round: Round = 0
         # Wake schedule: a min-heap of (round, node) entries with lazy
         # deletion — an entry is live iff it matches the node's current
         # ``_next_wake``.  Every node starts awake in round 1.
@@ -238,8 +230,9 @@ class Network:
             )
 
         for r in range(1, total_rounds + 1):
-            self._round = r
-            if self._quiescent() and self.adversary.done(self._view()):
+            if self._quiescent() and self.adversary.done(
+                self.ledger.view(r, {}, self.protocols)
+            ):
                 # Nothing can happen in any later round; fast-forward.
                 break
             self._execute_round(r)
@@ -399,7 +392,7 @@ class Network:
         pending = self._pending_senders
         all_queues = self._queues
         track_outboxes = self.adversary.dynamic_selection
-        faulty = self.faulty
+        faulty_alive = self.ledger.alive
         metrics = self.metrics
         trace = self.trace
         budget = self.message_budget
@@ -459,7 +452,7 @@ class Network:
                 per_node[u] = per_node.get(u, 0) + count
                 per_round[-1] += count
                 wire.extend(sent)
-                if track_outboxes or u in faulty:
+                if track_outboxes or u in faulty_alive:
                     outboxes[u] = sent
         self._queued_total = queued_total
         self._pending_list = still_pending
@@ -469,29 +462,13 @@ class Network:
             _mark = _now
 
         # 3. Adversary crashes.
-        view = self._view_with_outboxes(outboxes)
-        orders = self.adversary.plan_round(view, self._adversary_rng)
+        ledger = self.ledger
+        view = ledger.view(r, outboxes, protocols)
+        orders = self.adversary.plan_round(view, ledger.rng)
         # CONGEST guarantees (src, dst) uniquely identifies a wire message
         # within a round, so drops can be keyed by edge.
         dropped: Set[Tuple[NodeId, NodeId]] = set()
-        for victim, order in orders.items():
-            if victim not in self.faulty:
-                # An adaptive-selection adversary corrupts on the fly,
-                # charging the fault budget (paper: static selection only —
-                # this path exists for experiment E14's demonstration).
-                if not self.adversary.dynamic_selection:
-                    raise SimulationError(
-                        f"adversary crashed non-faulty node {victim}"
-                    )
-                if len(self.faulty) >= self.max_faulty:
-                    raise SimulationError(
-                        "dynamic-selection adversary exceeded the fault "
-                        f"budget {self.max_faulty}"
-                    )
-                self.faulty.add(victim)
-            if victim in self.crashed:
-                continue
-            self.crashed[victim] = r
+        for victim, order in ledger.crash(orders, r):
             self.metrics.record_crash()
             if trace is not None:
                 trace.record(TraceEvent(round=r, kind="crash", src=victim))
@@ -619,20 +596,3 @@ class Network:
         self._in_flight.clear()
         self._in_flight_total = 0
         metrics.messages_expired += expired
-
-    def _view(self) -> RoundView:
-        return self._view_with_outboxes({})
-
-    def _view_with_outboxes(
-        self, outboxes: Dict[NodeId, List[Envelope]]
-    ) -> RoundView:
-        faulty_alive = {u for u in self.faulty if u not in self.crashed}
-        return RoundView(
-            round=self._round,
-            n=self.n,
-            faulty_alive=faulty_alive,
-            crashed=self.crashed,
-            outboxes=outboxes,
-            protocols=self.protocols,
-            budget_remaining=max(0, self.max_faulty - len(self.faulty)),
-        )

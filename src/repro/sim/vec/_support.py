@@ -13,8 +13,8 @@ the reference engine:
   ``CrashOrder.keep()`` consumes the adversary rng in the identical
   sequence;
 * :class:`VecEngineBase` drives the real :class:`~repro.faults.Adversary`
-  (``select_faulty`` / ``plan_round`` / ``done``) against a mirrored
-  :class:`~repro.faults.adversary.RoundView`.
+  (``select_faulty`` / ``plan_round`` / ``done``) through the same
+  :class:`~repro.faults.adversary.FaultLedger` as the reference engine.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ...errors import SimulationError, VecUnsupported
-from ...faults.adversary import Adversary, RoundView
+from ...errors import VecUnsupported
+from ...faults.adversary import Adversary, FaultLedger
 from ...faults.strategies import (
     EagerCrash,
     LazyCrash,
@@ -37,6 +37,7 @@ from ...optdeps import require_numpy
 from ...rng import RngFactory
 from ...sim.message import Envelope
 from ...sim.metrics import Metrics
+from ...sim.network import RunResult
 from ...types import NodeId, Round
 
 #: Adversary classes the vec backend reproduces exactly.  The check is by
@@ -155,16 +156,19 @@ class LazyOutboxes(Mapping):
 class VecEngineBase:
     """Adversary plumbing shared by the protocol-specific array engines.
 
-    Subclasses provide three hooks:
+    Subclasses provide two hooks:
 
     * ``_outbox_envelopes(sender, r)`` — the sender's transmitted wire
       batch this round as real envelopes, in reference wire order;
-    * ``_outbox_senders(r)`` — faulty alive senders with a non-empty batch;
     * ``_discard_queues(victim, r)`` — drop the victim's untransmitted
       backlog from the queued-total bookkeeping.
     """
 
     n: int
+    total_rounds: Round
+    #: numpy module, and the per-node sent counts as an int64 array.
+    np: Any
+    pn: Any
 
     def _init_adversary(
         self,
@@ -173,22 +177,13 @@ class VecEngineBase:
         max_faulty: int,
         inputs: Optional[Sequence[int]],
     ) -> None:
-        self.seed = seed
-        self.rngs = RngFactory(seed)
         self.adversary = adversary
-        self.max_faulty = max_faulty
-        self._adversary_rng = self.rngs.adversary_stream()
-        self.faulty: Set[NodeId] = set(
-            adversary.select_faulty(self.n, max_faulty, self._adversary_rng, inputs)
+        self.ledger = FaultLedger(
+            adversary, self.n, max_faulty, RngFactory(seed).adversary_stream(), inputs
         )
-        if len(self.faulty) > max_faulty:
-            raise SimulationError(
-                f"adversary selected {len(self.faulty)} faulty nodes, "
-                f"budget is {max_faulty}"
-            )
-        self.crashed: Dict[NodeId, Round] = {}
+        self.faulty = self.ledger.faulty
+        self.crashed = self.ledger.crashed
         self.metrics = Metrics()
-        self._round: Round = 0
         self._outbox_cache: Dict[NodeId, List[Envelope]] = {}
 
     # -- hooks ----------------------------------------------------------
@@ -196,30 +191,17 @@ class VecEngineBase:
     def _outbox_envelopes(self, sender: NodeId, r: Round) -> List[Envelope]:
         raise NotImplementedError
 
-    def _outbox_senders(self, r: Round) -> List[NodeId]:
-        raise NotImplementedError
-
     def _discard_queues(self, victim: NodeId, r: Round) -> None:
         raise NotImplementedError
 
     # -- adversary driving ----------------------------------------------
 
-    def _faulty_alive(self) -> Set[NodeId]:
-        return {u for u in self.faulty if u not in self.crashed}
+    def _outbox_senders(self, r: Round) -> List[NodeId]:
+        """Faulty alive senders with a non-empty batch, in id order."""
+        return [u for u in sorted(self.ledger.alive) if self._outbox_envelopes(u, r)]
 
-    def _view(self, outboxes: Optional[Mapping] = None) -> RoundView:
-        return RoundView(
-            round=self._round,
-            n=self.n,
-            faulty_alive=self._faulty_alive(),
-            crashed=self.crashed,
-            outboxes={} if outboxes is None else outboxes,
-            protocols=(),
-            budget_remaining=max(0, self.max_faulty - len(self.faulty)),
-        )
-
-    def _adversary_done(self) -> bool:
-        return self.adversary.done(self._view())
+    def _adversary_done(self, r: Round) -> bool:
+        return self.adversary.done(self.ledger.view(r, {}))
 
     def _crash_phase(self, r: Round) -> Set[Tuple[NodeId, NodeId]]:
         """Run ``plan_round`` and process the orders; return dropped edges.
@@ -231,17 +213,12 @@ class VecEngineBase:
         (CONGEST: unique per round).
         """
         self._outbox_cache = {}
-        view = self._view(LazyOutboxes(self, r))
-        orders = self.adversary.plan_round(view, self._adversary_rng)
+        ledger = self.ledger
+        orders = self.adversary.plan_round(
+            ledger.view(r, LazyOutboxes(self, r)), ledger.rng
+        )
         dropped: Set[Tuple[NodeId, NodeId]] = set()
-        for victim, order in orders.items():
-            if victim not in self.faulty:
-                raise SimulationError(
-                    f"adversary crashed non-faulty node {victim}"
-                )
-            if victim in self.crashed:
-                continue
-            self.crashed[victim] = r
+        for victim, order in ledger.crash(orders, r):
             self.metrics.record_crash()
             self._discard_queues(victim, r)
             for envelope in self._outbox_envelopes(victim, r):
@@ -256,10 +233,24 @@ class VecEngineBase:
             outbox = self._outbox_cache[sender] = build()
         return outbox
 
-    def _finalize_metrics(self, total_rounds: Round) -> None:
+    def _run_result(self, protocols: Sequence[Any]) -> RunResult:
+        """Finalize the metrics and package the run like the reference."""
         metrics = self.metrics
         metrics.rounds = metrics.rounds_executed
-        metrics.horizon = total_rounds
+        metrics.horizon = self.total_rounds
+        for u in self.np.flatnonzero(self.pn).tolist():
+            metrics.per_node_sent[u] = int(self.pn[u])
+        return RunResult(
+            n=self.n,
+            protocols=protocols,
+            metrics=metrics,
+            trace=None,
+            faulty=self.faulty,
+            crashed=dict(self.crashed),
+            rounds=metrics.rounds_executed,
+            horizon=self.total_rounds,
+            max_delay=0,
+        )
 
 
 def np_module() -> Any:

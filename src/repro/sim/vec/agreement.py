@@ -178,16 +178,14 @@ class _AgreementVec(VecEngineBase):
 
     def run(self) -> RunResult:
         for r in range(1, self.total_rounds + 1):
-            self._round = r
             if (
                 r > 1
                 and not self.staged_delivered
                 and not self.py_backlog
-                and self._adversary_done()
+                and self._adversary_done(r)
             ):
                 break
             self._execute_round(r)
-        self._finalize_metrics(self.total_rounds)
         return self._build_result()
 
     def _execute_round(self, r: Round) -> None:
@@ -469,13 +467,6 @@ class _AgreementVec(VecEngineBase):
                     out.append(Envelope(sender, dst, msg, r))
         return out
 
-    def _outbox_senders(self, r: Round) -> List[NodeId]:
-        return [
-            u
-            for u in sorted(self.faulty)
-            if u not in self.crashed and self._outbox_envelopes(u, r)
-        ]
-
     def _discard_queues(self, victim: NodeId, r: Round) -> None:
         self.crash_round[victim] = r
         for dst in self.open_order.pop(victim, []):
@@ -485,10 +476,6 @@ class _AgreementVec(VecEngineBase):
     # ------------------------------------------------------------------
 
     def _build_result(self) -> RunResult:
-        np = self.np
-        pn = self.metrics.per_node_sent
-        for u in np.flatnonzero(self.pn).tolist():
-            pn[u] = int(self.pn[u])
         protocols: List[_AGStub] = []
         for u in range(self.n):
             ci = int(self.cand_index[u])
@@ -503,17 +490,7 @@ class _AgreementVec(VecEngineBase):
             else:
                 decision = Decision.UNDECIDED
             protocols.append(_AGStub(True, decision, bit))
-        return RunResult(
-            n=self.n,
-            protocols=protocols,
-            metrics=self.metrics,
-            trace=None,
-            faulty=self.faulty,
-            crashed=dict(self.crashed),
-            rounds=self.metrics.rounds_executed,
-            horizon=self.total_rounds,
-            max_delay=0,
-        )
+        return self._run_result(protocols)
 
 
 def run_agreement_vec(

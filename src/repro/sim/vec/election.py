@@ -251,11 +251,9 @@ class _ElectionVec(VecEngineBase):
     def run(self) -> RunResult:
         np = self.np
         for r in range(1, self.total_rounds + 1):
-            self._round = r
-            if r > 1 and self._quiescent(r) and self._adversary_done():
+            if r > 1 and self._quiescent(r) and self._adversary_done(r):
                 break
             self._execute_round(r)
-        self._finalize_metrics(self.total_rounds)
         return self._build_result()
 
     def _quiescent(self, r: Round) -> bool:
@@ -806,13 +804,6 @@ class _ElectionVec(VecEngineBase):
                     out.append(Envelope(sender, dst, batch_msg, r))
         return out
 
-    def _outbox_senders(self, r: Round) -> List[NodeId]:
-        return [
-            u
-            for u in sorted(self.faulty)
-            if u not in self.crashed and self._outbox_envelopes(u, r)
-        ]
-
     def _discard_queues(self, victim: NodeId, r: Round) -> None:
         self.crash_round[victim] = r
         if self.g_built:
@@ -835,9 +826,6 @@ class _ElectionVec(VecEngineBase):
     def _build_result(self) -> RunResult:
         np = self.np
         last = self.metrics.rounds_executed
-        pn = self.metrics.per_node_sent
-        for u in np.flatnonzero(self.pn).tolist():
-            pn[u] = int(self.pn[u])
         protocols: List[_LEStub] = []
         for u in range(self.n):
             ci = int(self.cand_index[u])
@@ -859,17 +847,7 @@ class _ElectionVec(VecEngineBase):
             protocols.append(
                 _LEStub(st.rank, True, st.state, st.leader_rank)
             )
-        return RunResult(
-            n=self.n,
-            protocols=protocols,
-            metrics=self.metrics,
-            trace=None,
-            faulty=self.faulty,
-            crashed=dict(self.crashed),
-            rounds=last,
-            horizon=self.total_rounds,
-            max_delay=0,
-        )
+        return self._run_result(protocols)
 
 
 def run_election_vec(

@@ -26,7 +26,6 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ...baselines.flooding import MSG_FLOOD
 from ...faults.adversary import Adversary
-from ...rng import RngFactory
 from ...sim.message import Envelope, Message
 from ...sim.network import RunResult
 from ...types import NodeId, Round
@@ -67,10 +66,8 @@ class _FloodingVec(VecEngineBase):
         self.rounds = rounds
         self.total_rounds = rounds + 2
         # The protocol draws nothing from the node streams; only the
-        # adversary stream is consumed (RngFactory keeps the derivation
-        # identical to the reference network).
+        # adversary stream is consumed.
         self._init_adversary(seed, adversary, max_faulty, self.inputs)
-        self.rngs = RngFactory(seed)
         self.crash_round = np.full(n, _NO_CRASH, dtype=np.int64)
         self.est = np.array(self.inputs, dtype=np.int64)
         #: Improvement facts staged by the previous round's delivery.
@@ -85,7 +82,6 @@ class _FloodingVec(VecEngineBase):
 
     def run(self) -> RunResult:
         for r in range(1, self.total_rounds + 1):
-            self._round = r
             # Every alive node holds a live wake for round rounds+1 until
             # it executes, so quiescence is only possible after that (or
             # once nobody is left alive).
@@ -94,11 +90,10 @@ class _FloodingVec(VecEngineBase):
                 r > 1
                 and wakes_dead
                 and not self.staged_delivered
-                and self._adversary_done()
+                and self._adversary_done(r)
             ):
                 break
             self._execute_round(r)
-        self._finalize_metrics(self.total_rounds)
         return self._build_result()
 
     def _execute_round(self, r: Round) -> None:
@@ -208,23 +203,12 @@ class _FloodingVec(VecEngineBase):
             if dst != sender
         ]
 
-    def _outbox_senders(self, r: Round) -> List[NodeId]:
-        return [
-            u
-            for u in sorted(self.faulty)
-            if u not in self.crashed and u in self._senders
-        ]
-
     def _discard_queues(self, victim: NodeId, r: Round) -> None:
         self.crash_round[victim] = r  # queues are always empty post-transmit
 
     # ------------------------------------------------------------------
 
     def _build_result(self) -> RunResult:
-        np = self.np
-        pn = self.metrics.per_node_sent
-        for u in np.flatnonzero(self.pn).tolist():
-            pn[u] = int(self.pn[u])
         protocols = [
             _FloodStub(
                 int(self.est[u]) if u not in self.crashed else None,
@@ -232,17 +216,7 @@ class _FloodingVec(VecEngineBase):
             )
             for u in range(self.n)
         ]
-        return RunResult(
-            n=self.n,
-            protocols=protocols,
-            metrics=self.metrics,
-            trace=None,
-            faulty=self.faulty,
-            crashed=dict(self.crashed),
-            rounds=self.metrics.rounds_executed,
-            horizon=self.total_rounds,
-            max_delay=0,
-        )
+        return self._run_result(protocols)
 
 
 def run_flooding_vec(

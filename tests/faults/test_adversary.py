@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.faults.adversary import Adversary, CrashOrder, RoundView
+from repro.errors import SimulationError
+from repro.faults.adversary import Adversary, CrashOrder, FaultLedger, RoundView
 from repro.sim.message import Envelope, Message
 
 
@@ -103,3 +104,62 @@ class TestBaseAdversary:
 
     def test_name(self):
         assert Adversary().name() == "Adversary"
+
+
+class _Fixed(Adversary):
+    """Selects a fixed faulty set; optionally a dynamic selector."""
+
+    def __init__(self, faulty, dynamic_selection=False):
+        self.faulty = set(faulty)
+        self.dynamic_selection = dynamic_selection
+
+    def select_faulty(self, n, max_faulty, rng, inputs=None):
+        return set(self.faulty)
+
+
+class TestFaultLedger:
+    def _ledger(self, faulty=(1, 2, 3), max_faulty=4, dynamic_selection=False):
+        return FaultLedger(
+            _Fixed(faulty, dynamic_selection), 8, max_faulty, random.Random(0)
+        )
+
+    def test_non_faulty_victim_raises(self):
+        ledger = self._ledger()
+        with pytest.raises(SimulationError, match="non-faulty node 5"):
+            ledger.crash({5: CrashOrder.drop_all()}, 1)
+
+    def test_crash_returns_new_crashes_in_order(self):
+        ledger = self._ledger()
+        first, second = CrashOrder.drop_all(), CrashOrder.keep_all()
+        assert ledger.crash({3: first, 1: second}, 2) == [(3, first), (1, second)]
+        assert ledger.crashed == {3: 2, 1: 2}
+
+    def test_already_crashed_victim_is_skipped(self):
+        ledger = self._ledger()
+        order = CrashOrder.drop_all()
+        ledger.crash({1: order}, 1)
+        assert ledger.crash({1: order, 2: order}, 2) == [(2, order)]
+        assert ledger.crashed == {1: 1, 2: 2}
+
+    def test_dynamic_selection_charges_the_budget(self):
+        ledger = self._ledger(faulty=(), max_faulty=1, dynamic_selection=True)
+        order = CrashOrder.drop_all()
+        assert ledger.view(1, {}).budget_remaining == 1
+        assert ledger.crash({5: order}, 1) == [(5, order)]
+        assert ledger.faulty == {5} and ledger.crashed == {5: 1}
+        assert ledger.view(2, {}).budget_remaining == 0
+        with pytest.raises(SimulationError, match="exceeded the fault budget 1"):
+            ledger.crash({6: order}, 2)
+
+    def test_view_shares_the_live_set(self):
+        ledger = self._ledger()
+        before = ledger.view(1, {}).faulty_alive
+        assert before == {1, 2, 3}
+        ledger.crash({2: CrashOrder.drop_all()}, 1)
+        after = ledger.view(2, {}).faulty_alive
+        assert after is before
+        assert after == {1, 3}
+
+    def test_selection_over_budget_raises(self):
+        with pytest.raises(SimulationError, match="selected 3 faulty nodes"):
+            self._ledger(faulty=(1, 2, 3), max_faulty=2)

@@ -90,9 +90,11 @@ class TestRandomCrash:
     def test_schedule_covers_horizon(self):
         adversary = RandomCrash(horizon=10)
         faulty = adversary.select_faulty(256, 128, random.Random(0))
-        rounds = set(adversary._schedule.values())
+        rounds = set(adversary._by_round)
         assert rounds <= set(range(1, 11))
         assert len(rounds) > 3  # spread out
+        scheduled = [u for victims in adversary._by_round.values() for u in victims]
+        assert sorted(scheduled) == sorted(faulty)  # each faulty node once
 
     def test_every_faulty_node_eventually_crashes(self):
         adversary = RandomCrash(horizon=5)
@@ -112,6 +114,10 @@ class TestRandomCrash:
     def test_validates_keep_probability(self):
         with pytest.raises(ValueError):
             RandomCrash(horizon=5, keep_probability=2.0)
+
+    def test_keep_probability_error_shows_the_value(self):
+        with pytest.raises(ValueError, match="got 1.5"):
+            RandomCrash(horizon=5, keep_probability=1.5)
 
     def test_not_done_at_horizon(self):
         adversary = RandomCrash(horizon=5)
@@ -154,8 +160,7 @@ class TestSplitDeliveryCrash:
     def test_keeps_smaller_half_of_destinations(self):
         adversary = SplitDeliveryCrash(horizon=1)
         faulty = adversary.select_faulty(64, 4, random.Random(3))
-        victim = next(iter(faulty))
-        adversary._schedule[victim] = 1
+        victim = next(iter(faulty))  # horizon=1: every victim is due in round 1
         outbox = [_envelope(victim, dst) for dst in (10, 20, 30, 40)]
         orders = adversary.plan_round(
             _view(1, {victim}, outboxes={victim: outbox}), random.Random(0)
@@ -163,6 +168,48 @@ class TestSplitDeliveryCrash:
         order = orders[victim]
         kept = [e.dst for e in outbox if order.keep(e)]
         assert kept == [10, 20]
+
+
+class TestCanonicalVictimOrder:
+    """Victims come out in id order, however the live set iterates."""
+
+    IDS = (70000, 3, 65539)
+
+    def _alive(self):
+        alive = set(self.IDS)
+        assert list(alive) != sorted(alive)  # the precondition that matters
+        return alive
+
+    def _outboxes(self):
+        return {u: [_envelope(u, dst) for dst in (1, 2, 4)] for u in self.IDS}
+
+    @pytest.mark.parametrize(
+        "name, round_",
+        [("eager", 1), ("lazy", 1), ("random", 1), ("split", 1), ("referees", 2)],
+    )
+    def test_plan_round_keys_are_sorted(self, name, round_):
+        adversary = named_adversary(name, horizon=1)
+        adversary.select_faulty(70001, 70001, random.Random(0))
+        view = _view(round_, (), outboxes=self._outboxes())
+        view.faulty_alive = self._alive()
+        orders = adversary.plan_round(view, random.Random(0))
+        assert list(orders) == sorted(self.IDS)
+
+    def test_random_keep_decisions_ignore_set_order(self):
+        def decisions(alive):
+            adversary = RandomCrash(horizon=1)
+            adversary.select_faulty(70001, 70001, random.Random(0))
+            view = _view(1, (), outboxes=self._outboxes())
+            view.faulty_alive = alive
+            orders = adversary.plan_round(view, random.Random(5))
+            return {
+                (e.src, e.dst): orders[u].keep(e)
+                for u in orders
+                for e in view.outboxes[u]
+            }
+
+        in_sorted_insertion_order = dict.fromkeys(sorted(self.IDS)).keys()
+        assert decisions(self._alive()) == decisions(in_sorted_insertion_order)
 
 
 class TestAdaptiveMinProposerCrash:
