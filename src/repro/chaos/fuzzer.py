@@ -28,11 +28,13 @@ and journalled like failures, but they do not fail the campaign (see
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..baselines.ben_or import ben_or_consensus, ben_or_horizon
 from ..core.results import AgreementResult
@@ -483,11 +485,13 @@ def fuzz(
     derivation is identical for every ``jobs`` (so every failing case
     replays with ``jobs=1``), failures are reported and journalled in
     serial trial order as soon as the trials before them have finished,
-    and shrinking always happens in the parent.  In budget mode
-    trials run in waves of ``jobs`` seed indices, with the budget checked
-    between waves.  A trial that raises outside the oracle net is re-run
-    in this process, so its exception escapes exactly as under
-    ``jobs=1``.
+    and shrinking always happens in the parent.  The campaign is one
+    lazily drawn stream on one pool.  In budget mode the budget is
+    checked before each seed index and every drawn trial finishes, so
+    the report holds whole seed indices in serial order; past the budget
+    only the trials in flight and the rest of the current index run.
+    A trial that raises outside the oracle net is re-run in this
+    process, so its exception escapes exactly as under ``jobs=1``.
 
     Observability: ``progress=True`` emits a stderr heartbeat;
     ``journal`` (a path or :class:`~repro.exec.Journal`) records one
@@ -501,6 +505,12 @@ def fuzz(
 
     if not scenarios:
         raise ConfigurationError("need at least one scenario")
+    if budget_seconds is None and seeds < 1:
+        raise ConfigurationError(f"seeds must be >= 1, got {seeds}")
+    if budget_seconds is not None and not 0 <= budget_seconds < math.inf:
+        raise ConfigurationError(
+            f"budget_seconds must be finite and >= 0, got {budget_seconds}"
+        )
     from ..exec import ResilientExecutor
     from ..parallel import TrialSpec, in_order, resolve_jobs, run_trials
 
@@ -544,49 +554,44 @@ def fuzz(
             record["script"] = case.script.to_dict()
         journal.append(record)
 
-    def run_wave(indices: Sequence[int]) -> None:
-        pairs = [
-            (scenario, derive_seed(master_seed, "fuzz", scenario.protocol, index))
-            for index in indices
-            for scenario in scenarios
-        ]
-        specs = [
-            TrialSpec(
-                index=spec_index,
-                task=_fuzz_trial,
-                seed=trial_seed,
-                point={"scenario": scenario.to_dict(), "config": config},
-            )
-            for spec_index, (scenario, trial_seed) in enumerate(pairs)
-        ]
+    specs: List[TrialSpec] = []
 
-        def account(spec: TrialSpec, outcome: Any) -> None:
-            scenario, trial_seed = pairs[spec.index]
-            payload = outcome.value if outcome.ok else spec.run()
-            case = None if payload is None else shrink(FuzzCase.from_dict(payload))
-            report.trials.append((scenario.protocol, trial_seed))
-            report.attempted += 1
-            if case is not None:
-                if case.is_finding:
-                    report.findings.append(case)
-                else:
-                    report.failures.append(case)
-            journal_trial(scenario, trial_seed, case)
-            reporter.advance(
-                completed=1,
-                attempted=1,
-                failed=0 if case is None or case.is_finding else 1,
-            )
+    def draw() -> Iterator[TrialSpec]:
+        """One spec per scenario for each seed index, until seeds or budget run out."""
+        for index in range(seeds) if budget_seconds is None else itertools.count():
+            if budget_seconds is not None and index > 0:
+                if time.monotonic() - start >= budget_seconds:
+                    return
+            for scenario in scenarios:
+                specs.append(
+                    TrialSpec(
+                        index=len(specs),
+                        task=_fuzz_trial,
+                        seed=derive_seed(master_seed, "fuzz", scenario.protocol, index),
+                        point={"scenario": scenario.to_dict(), "config": config},
+                    )
+                )
+                yield specs[-1]
 
-        run_trials(specs, jobs=workers, on_outcome=in_order(specs, account))
+    def account(spec: TrialSpec, outcome: Any) -> None:
+        scenario = scenarios[spec.index % len(scenarios)]
+        payload = outcome.value if outcome.ok else spec.run()
+        case = None if payload is None else shrink(FuzzCase.from_dict(payload))
+        report.trials.append((scenario.protocol, spec.seed))
+        report.attempted += 1
+        if case is not None:
+            if case.is_finding:
+                report.findings.append(case)
+            else:
+                report.failures.append(case)
+        journal_trial(scenario, spec.seed, case)
+        reporter.advance(
+            completed=1,
+            attempted=1,
+            failed=0 if case is None or case.is_finding else 1,
+        )
 
-    if budget_seconds is None:
-        run_wave(range(seeds))
-    else:
-        index = 0
-        while index == 0 or time.monotonic() - start < budget_seconds:
-            run_wave(range(index, index + workers))
-            index += workers
+    run_trials(draw(), jobs=workers, on_outcome=in_order(specs, account))
     report.elapsed_seconds = time.monotonic() - start
     reporter.finish()
     return report

@@ -9,14 +9,12 @@ files for ACC001, ...); ``[lint.baseline]`` grandfathers known findings
 by ``"RULE:path-prefix"`` entries so a rule can be introduced without a
 flag-day fix of every legacy hit.
 
-Python 3.11+ parses the file with :mod:`tomllib`; older interpreters
-fall back to a deliberately small built-in parser covering the subset
-this file uses (tables, strings, booleans, integers, and string arrays)
-— the repo supports 3.9 and takes no third-party dependencies.
+The file is parsed with the standard library's :mod:`tomllib`.
 """
 
 from __future__ import annotations
 
+import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
@@ -32,107 +30,8 @@ class LintConfigError(ConfigurationError):
 
 
 # ----------------------------------------------------------------------
-# TOML loading (tomllib when available, minimal fallback otherwise)
+# TOML loading
 # ----------------------------------------------------------------------
-
-
-def _parse_toml_value(text: str, where: str) -> Any:
-    text = text.strip()
-    if text in ("true", "false"):
-        return text == "true"
-    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-        return text[1:-1]
-    if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1].strip()
-        if not inner:
-            return []
-        return [
-            _parse_toml_value(part.strip(), where)
-            for part in _split_toml_array(inner)
-        ]
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise LintConfigError(f"{where}: cannot parse TOML value {text!r}")
-
-
-def _split_toml_array(inner: str) -> List[str]:
-    """Split a flattened array body on commas outside string quotes."""
-    parts: List[str] = []
-    current: List[str] = []
-    in_string = False
-    for char in inner:
-        if char == '"':
-            in_string = not in_string
-            current.append(char)
-        elif char == "," and not in_string:
-            part = "".join(current).strip()
-            if part:
-                parts.append(part)
-            current = []
-        else:
-            current.append(char)
-    tail = "".join(current).strip()
-    if tail:
-        parts.append(tail)
-    return parts
-
-
-def _strip_toml_comment(line: str) -> str:
-    out: List[str] = []
-    in_string = False
-    for char in line:
-        if char == '"':
-            in_string = not in_string
-        elif char == "#" and not in_string:
-            break
-        out.append(char)
-    return "".join(out)
-
-
-def _parse_toml_fallback(text: str, where: str) -> Dict[str, Any]:
-    """Parse the TOML subset ``.reprolint.toml`` uses (pre-3.11 fallback)."""
-    data: Dict[str, Any] = {}
-    table = data
-    # Join multi-line arrays first so every logical line is `key = value`
-    # or a `[table]` header.
-    logical: List[str] = []
-    buffer = ""
-    depth = 0
-    for raw in text.splitlines():
-        line = _strip_toml_comment(raw).strip()
-        if not line:
-            continue
-        buffer = f"{buffer} {line}".strip() if buffer else line
-        depth += line.count("[") - line.count("]")
-        if depth <= 0:
-            logical.append(buffer)
-            buffer = ""
-            depth = 0
-    if buffer:
-        logical.append(buffer)
-    for line in logical:
-        if line.startswith("[") and line.endswith("]"):
-            table = data
-            for part in line[1:-1].strip().split("."):
-                part = part.strip()
-                if not part:
-                    raise LintConfigError(f"{where}: empty table name in {line!r}")
-                table = table.setdefault(part, {})
-                if not isinstance(table, dict):
-                    raise LintConfigError(
-                        f"{where}: table {line!r} collides with a value"
-                    )
-            continue
-        if "=" not in line:
-            raise LintConfigError(f"{where}: cannot parse line {line!r}")
-        key, _, value = line.partition("=")
-        table[key.strip()] = _parse_toml_value(value, where)
-    return data
 
 
 def _load_toml(path: Path) -> Dict[str, Any]:
@@ -140,10 +39,6 @@ def _load_toml(path: Path) -> Dict[str, Any]:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise LintConfigError(f"cannot read {path}: {exc}") from exc
-    try:
-        import tomllib
-    except ImportError:
-        return _parse_toml_fallback(text, str(path))
     try:
         return tomllib.loads(text)
     except tomllib.TOMLDecodeError as exc:

@@ -43,8 +43,8 @@ class SlotsRule(FileRule):
     """PERF001: hot-path classes must declare ``__slots__``.
 
     Applies to the modules configured as ``hot_modules``.  Dataclasses
-    are exempt (pre-3.10 dataclasses cannot take ``slots=True``, and the
-    ones kept in hot modules are deliberate, e.g. the per-run ``Trace``
+    are exempt (one that matters can take ``slots=True``, and the ones
+    kept in hot modules are deliberate, e.g. the per-run ``Trace``
     container), as are exception and enum types.
     """
 

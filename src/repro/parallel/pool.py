@@ -15,10 +15,12 @@ Determinism contract
 * Outcomes are placed at their spec's position in the input; chunking
   and completion order are invisible in the output.
 
-One entry point, :func:`run_trials`: the parent first settles every
-trial that must not run (resumed, cached, or quarantined); the rest run
-under the :mod:`repro.exec` safety net (per-trial SIGALRM timeout +
-derived-seed retries) — in-process for ``jobs=1``, *inside a stateless
+One entry point, :func:`run_trials`, one pool per call: the parent
+settles each spec as it draws it, answering the trials that must not run
+(resumed, cached, or quarantined).  A list is settled in full before
+anything runs; a lazy stream is drawn only when a worker is free.  The
+rest run under the :mod:`repro.exec` safety net (per-trial SIGALRM
+timeout + derived-seed retries) — in-process for ``jobs=1``, *inside a stateless
 worker* otherwise — and the parent records each outcome in the
 quarantine, journal, and cache (one writer, no cross-process file
 races).  Trial exceptions never escape; they come back as ``failed``
@@ -29,7 +31,9 @@ from __future__ import annotations
 
 import os
 import pickle
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from collections.abc import Sized
+from itertools import chain, islice
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..exec import (
@@ -73,16 +77,15 @@ def default_chunk_size(total: int, jobs: int) -> int:
     return max(1, -(-total // (jobs * _CHUNKS_PER_WORKER)))
 
 
-def _chunked(specs: Sequence[TrialSpec], size: int) -> List[List[TrialSpec]]:
-    return [list(specs[i : i + size]) for i in range(0, len(specs), size)]
+def _chunked(specs: Iterator[TrialSpec], size: int) -> Iterator[List[TrialSpec]]:
+    while chunk := list(islice(specs, size)):
+        yield chunk
 
 
-def _check_picklable(specs: Sequence[TrialSpec]) -> None:
+def _check_picklable(spec: TrialSpec) -> None:
     """Fail fast (and helpfully) on unpicklable work instead of inside the pool."""
-    if not specs:
-        return
     try:
-        pickle.dumps(specs[0])
+        pickle.dumps(spec)
     except Exception as exc:
         raise ConfigurationError(
             "trial task/point is not picklable, so it cannot cross a "
@@ -131,24 +134,25 @@ def in_order(
 
     Each outcome is held back until every spec before it has landed, so
     a caller can print, account, or journal in serial trial order while
-    a parallel run is still in flight.
+    a parallel run is still in flight.  ``specs`` may still be growing:
+    a caller that feeds :func:`run_trials` a stream appends each spec
+    to it as the spec is drawn.
     """
-    slots = {spec.index: slot for slot, spec in enumerate(specs)}
     held: Dict[int, Tuple[TrialSpec, TrialOutcome]] = {}
     next_slot = 0
 
     def on_outcome(spec: TrialSpec, outcome: TrialOutcome) -> None:
         nonlocal next_slot
-        held[slots[spec.index]] = (spec, outcome)
-        while next_slot in held:
-            hook(*held.pop(next_slot))
+        held[spec.index] = (spec, outcome)
+        while next_slot < len(specs) and specs[next_slot].index in held:
+            hook(*held.pop(specs[next_slot].index))
             next_slot += 1
 
     return on_outcome
 
 
 def run_trials(
-    specs: Sequence[TrialSpec],
+    specs: Iterable[TrialSpec],
     jobs: int = 1,
     *,
     executor: Optional[ResilientExecutor] = None,
@@ -159,13 +163,14 @@ def run_trials(
     max_dispatches: int = 3,
     on_outcome: Optional[OutcomeHook] = None,
 ) -> List[TrialOutcome]:
-    """Run ``specs`` under the resilience layer; outcomes in spec order.
+    """Run ``specs`` under the resilience layer; outcomes in draw order.
 
     The :class:`~repro.exec.ResilientExecutor` (a fresh one, with no
     timeout, retries, journal, or cache, when ``executor`` is ``None``)
     supplies the policy (timeout, retries) and owns the parent-side
-    state.  One settle pass asks ``executor.settled_outcome`` for every
-    spec before anything runs, at every ``jobs``:
+    state.  Each spec is settled as it is drawn: its index is checked
+    for uniqueness, then ``executor.settled_outcome`` is asked for it,
+    at every ``jobs``:
 
     * **resume** — specs whose key is in ``executor.completed`` are
       answered from the journal without running;
@@ -174,13 +179,19 @@ def run_trials(
     * **quarantine** — consulted before a trial runs and fed back with
       each outcome (success clears strikes, exhausted retries add one).
 
-    Settled outcomes land first, in spec order.  Only the parent passes
-    fresh outcomes to ``executor.record``, so the JSONL journal and the
-    cache have exactly one writer.
+    When ``specs`` has a length, the whole settle pass runs before
+    anything else, so settled outcomes land first, in spec order, and
+    the chunk size follows the count left to run.  Any other iterable is
+    a stream: it is drawn only when a worker is free (one spec per chunk
+    unless ``chunk_size`` says otherwise), so it may be endless and ends
+    the campaign by ending.  Only the parent passes fresh outcomes to
+    ``executor.record``, so the JSONL journal and the cache have exactly
+    one writer.
 
-    With ``jobs`` resolving to 1, or fewer than two specs left to run,
-    they run in this process through the executor itself: no pool, no
-    pickling, and the same shutdown boundary checks.  Otherwise timeout
+    With ``jobs`` resolving to 1, or fewer than two specs left to run
+    (a stream is peeked two specs ahead), they run in this process
+    through the executor itself: no pool, no pickling, and the same
+    shutdown boundary checks.  Otherwise timeout
     and retry run *inside* the workers (SIGALRM works there: each worker
     executes trials on its own main thread).  Either way a trial's spec
     is its identity — indices must be unique, but need not be contiguous
@@ -222,54 +233,67 @@ def run_trials(
     # A caller-supplied reporter is shared across layers: the caller
     # owns its lifetime, so only a locally-built one gets finish() here.
     owns_reporter = not isinstance(progress, ProgressReporter)
-    reporter = ensure_progress(progress, total=len(specs), label="trials")
-    outcomes: List[Optional[TrialOutcome]] = [None] * len(specs)
-    slots = {spec.index: slot for slot, spec in enumerate(specs)}
-    if len(slots) != len(specs):
-        raise ConfigurationError("trial spec indices must be unique")
+    total = len(specs) if isinstance(specs, Sized) else None
+    reporter = ensure_progress(progress, total=total, label="trials")
+    # Both keyed by spec index, in draw order.
+    drawn: Dict[int, TrialSpec] = {}
+    outcomes: Dict[int, Optional[TrialOutcome]] = {}
 
-    def announce(slot: int, outcome: TrialOutcome) -> None:
+    def announce(spec: TrialSpec, outcome: TrialOutcome) -> None:
         _advance_for(reporter, outcome)
         if on_outcome is not None:
-            on_outcome(specs[slot], outcome)
+            on_outcome(spec, outcome)
 
-    def land(slot: int, outcome: TrialOutcome) -> None:
-        outcomes[slot] = outcome
-        announce(slot, outcome)
+    def land(spec: TrialSpec, outcome: TrialOutcome) -> None:
+        outcomes[spec.index] = outcome
+        announce(spec, outcome)
+
+    def settle() -> Iterator[TrialSpec]:
+        """Draw and settle each spec; yield only those left to run."""
+        for spec in specs:
+            if spec.index in drawn:
+                raise ConfigurationError("trial spec indices must be unique")
+            drawn[spec.index] = spec
+            outcomes[spec.index] = None
+            settled = executor.settled_outcome(spec)
+            if settled is None:
+                yield spec
+            else:
+                land(spec, settled)
 
     executor.last_supervisor_stats = None
-    pending: List[TrialSpec] = []
-    for slot, spec in enumerate(specs):
-        settled = executor.settled_outcome(spec)
-        if settled is None:
-            pending.append(spec)
-        else:
-            land(slot, settled)
-
-    if jobs == 1 or len(pending) < 2:
+    pending = settle()
+    size = chunk_size or 1
+    if total is not None:
+        queued = list(pending)
+        pending = iter(queued)
+        size = chunk_size or default_chunk_size(len(queued), jobs)
+    # jobs=1 peeks nothing, so it always runs in process, drawing lazily.
+    ahead = [] if jobs == 1 else list(islice(pending, 2))
+    pending = chain(ahead, pending)
+    if len(ahead) < 2:
         for spec in pending:
             if shutdown is not None and shutdown.requested:
                 break
             outcome = _run_spec(executor, spec)
             executor.record(spec, outcome)
-            land(slots[spec.index], outcome)
+            land(spec, outcome)
     else:
-        _check_picklable(pending)
+        _check_picklable(ahead[0])
         reporter.set_workers(jobs)
 
         def on_result(index: int, outcome: TrialOutcome) -> None:
             with timers.timed(PHASE_POOL_REASSEMBLY):
-                slot = slots[index]
                 # Exactly-once guard: a redispatched chunk (hung worker
                 # that was merely slow) may deliver the same trial twice.
-                fresh = outcomes[slot] is None
+                fresh = outcomes[index] is None
                 if fresh:
-                    outcomes[slot] = outcome
+                    outcomes[index] = outcome
             # Recording and caller hooks run outside the timed phase:
             # reassembly measures slotting, not journal/cache/stream I/O.
             if fresh:
-                executor.record(specs[slot], outcome)
-                announce(slot, outcome)
+                executor.record(drawn[index], outcome)
+                announce(drawn[index], outcome)
 
         def on_abandon(spec: TrialSpec, reason: str) -> None:
             on_result(
@@ -300,7 +324,6 @@ def run_trials(
             reporter=reporter,
             timers=timers,
         )
-        size = chunk_size or default_chunk_size(len(pending), jobs)
         try:
             supervisor.run(_chunked(pending, size), on_result, on_abandon)
         finally:
@@ -310,11 +333,11 @@ def run_trials(
                 executor.journal.append(stats.journal_record())
     if owns_reporter:
         reporter.finish()
-    pending = outcomes.count(None)
-    if pending:
+    unlanded = sum(outcome is None for outcome in outcomes.values())
+    if unlanded:
         assert shutdown is not None  # only a shutdown leaves trials unrun
-        raise shutdown.interruption(pending, resumable=executor.journal is not None)
-    return [outcome for outcome in outcomes if outcome is not None]
+        raise shutdown.interruption(unlanded, resumable=executor.journal is not None)
+    return [outcome for outcome in outcomes.values() if outcome is not None]
 
 
 def _advance_for(reporter: ProgressReporter, outcome: TrialOutcome) -> None:

@@ -42,6 +42,7 @@ import signal
 import threading
 import time
 from collections import deque
+from collections.abc import Iterable, Iterator
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -274,26 +275,31 @@ class PoolSupervisor:
 
     def run(
         self,
-        chunks: Sequence[List[TrialSpec]],
+        chunks: Iterable[List[TrialSpec]],
         on_result: Callable[[int, Any], None],
         on_abandon: Callable[[TrialSpec, str], None],
     ) -> SupervisorStats:
         """Supervised execution of ``chunks``; returns the stats.
 
+        ``chunks`` is drawn one chunk at a time, only when a worker is
+        free, so it may be a generator the caller feeds as it goes.  The
+        run ends once it is exhausted and nothing is queued or in flight.
         A shutdown request stops it at the next trial boundary with the
         workers reaped and ``stats.interrupted`` set; the caller raises.
         """
-        queue: Deque[_Chunk] = deque(_Chunk(list(specs)) for specs in chunks)
+        source = iter(chunks)
+        queue: Deque[_Chunk] = deque()  # redispatches only
         pool = self._new_pool()
         inflight: Dict[Future, _Chunk] = {}
         try:
-            while queue or inflight:
+            while True:
                 if self.shutdown is not None and self.shutdown.requested:
                     self.stats.interrupted = True
                     break
-                pool = self._fill(pool, inflight, queue, on_abandon)
+                pool = self._fill(pool, inflight, queue, source, on_abandon)
+                self.reporter.advance(busy=len(inflight))
                 if not inflight:
-                    continue
+                    break  # nothing left to draw, queue or wait on
                 done, _ = wait(
                     set(inflight),
                     timeout=self.poll_seconds,
@@ -321,9 +327,6 @@ class PoolSupervisor:
                     else:
                         for index, value in results:
                             on_result(index, value)
-                        self.reporter.advance(
-                            busy=min(self.jobs, len(inflight) + len(queue))
-                        )
                 rebuild = self._reap_hung(inflight, queue, on_abandon) or rebuild
                 self._count_worker_deaths(pool)
                 if rebuild:
@@ -342,12 +345,18 @@ class PoolSupervisor:
         pool: ProcessPoolExecutor,
         inflight: Dict[Future, _Chunk],
         queue: Deque[_Chunk],
+        source: Iterator[List[TrialSpec]],
         on_abandon: Callable[[TrialSpec, str], None],
     ) -> ProcessPoolExecutor:
         # One chunk per worker: a queued-but-unstarted chunk must not age
-        # against its deadline, so dispatch only what can run now.
-        while queue and len(inflight) < self.jobs:
-            chunk = queue.popleft()
+        # against its deadline, and a chunk is drawn only when it can run.
+        while len(inflight) < self.jobs:
+            if queue:
+                chunk = queue.popleft()
+            elif (specs := next(source, None)) is not None:
+                chunk = _Chunk(specs)
+            else:
+                break
             try:
                 with self.timers.timed(PHASE_POOL_DISPATCH):
                     future = pool.submit(

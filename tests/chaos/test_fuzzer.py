@@ -25,6 +25,7 @@ from repro.chaos import fuzzer as fuzzer_module
 from repro.chaos.grammar import FuzzedAdversary
 from repro.errors import ConfigurationError
 from repro.exec import Journal
+from repro.parallel.supervisor import PoolSupervisor
 
 
 class TestFuzzScenario:
@@ -65,6 +66,27 @@ class TestFuzzCampaign:
         report = fuzz(default_scenarios(n=64), budget_seconds=0.0, master_seed=1)
         assert report.attempted == 2  # one trial per scenario minimum
         assert report.clean
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_budget_run_is_one_pool_over_a_serial_prefix(self, jobs, monkeypatch):
+        """A budget campaign streams its seeds through one pool (none at
+        jobs=1) and keeps whole seed indices of the serial order."""
+        pools = []
+        new_pool = PoolSupervisor._new_pool
+
+        def counting(self):
+            pools.append(self)
+            return new_pool(self)
+
+        monkeypatch.setattr(PoolSupervisor, "_new_pool", counting)
+        scenarios = default_scenarios(n=64)
+        report = fuzz(scenarios, budget_seconds=1.0, master_seed=3, jobs=jobs)
+        assert len(pools) == (1 if jobs > 1 else 0)
+        assert report.trials and len(report.trials) % len(scenarios) == 0
+        serial = fuzz(
+            scenarios, seeds=len(report.trials) // len(scenarios), master_seed=3
+        )
+        assert report.trials == serial.trials
 
     def test_trials_are_journalled_as_they_finish(self, tmp_path, monkeypatch):
         """Each trial is journalled before the next one starts, so a
@@ -156,3 +178,16 @@ class TestFuzzOne:
     def test_requires_scenarios(self):
         with pytest.raises(ConfigurationError):
             fuzz([], seeds=1)
+
+    @pytest.mark.parametrize(
+        "kwargs, shown",
+        [
+            ({"seeds": 0}, "got 0"),
+            ({"budget_seconds": float("nan")}, "got nan"),
+            ({"budget_seconds": float("inf")}, "got inf"),
+            ({"budget_seconds": -1.0}, "got -1.0"),
+        ],
+    )
+    def test_vacuous_campaign_rejected(self, kwargs, shown):
+        with pytest.raises(ConfigurationError, match=shown):
+            fuzz(default_scenarios(n=64), **kwargs)

@@ -1,4 +1,4 @@
-"""``.reprolint.toml`` loading, scoping, baselines, and the 3.9 fallback parser."""
+"""``.reprolint.toml`` loading, scoping, and baselines."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.lint import (
     load_config,
     path_matches,
 )
-from repro.lint.config import _parse_toml_fallback
 
 from .conftest import FIXTURES
 
@@ -33,23 +32,11 @@ def _det_config(**rule_table):
 # ----------------------------------------------------------------------
 
 
-def test_fallback_parser_matches_tomllib_on_repo_config():
-    text = (FIXTURES / ".reprolint.toml").read_text(encoding="utf-8")
-    fallback = _parse_toml_fallback(text, "fixture")
-    tomllib = pytest.importorskip("tomllib")
-    assert fallback == tomllib.loads(text)
-
-
-def test_fallback_parser_handles_multiline_arrays():
-    data = _parse_toml_fallback(
-        '[lint]\nexclude = [\n  "a",  # comment\n  "b",\n]\n', "test"
-    )
-    assert data == {"lint": {"exclude": ["a", "b"]}}
-
-
-def test_fallback_parser_rejects_garbage():
+def test_garbage_config_raises(tmp_path):
+    path = tmp_path / ".reprolint.toml"
+    path.write_text("[lint]\nthis is not toml\n", encoding="utf-8")
     with pytest.raises(LintConfigError):
-        _parse_toml_fallback("[lint]\nthis is not toml\n", "test")
+        load_config(path)
 
 
 def test_malformed_config_raises(tmp_path):

@@ -157,11 +157,37 @@ class TestRunTrials:
         run_trials(specs, jobs=2, chunk_size=1, on_outcome=hook)
         assert seen == [3, 0, 7, 1, 4]
 
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    @pytest.mark.parametrize("chunk_size", [None, 2])
+    def test_stream_is_drawn_only_as_workers_free_up(self, jobs, chunk_size):
+        landed, ahead, ended = [], [], []
+
+        def stream():
+            for index in range(7):
+                ahead.append(index + 1 - len(landed))  # drawn, not yet landed
+                yield TrialSpec(
+                    index=index, task=echo_task, seed=index, point={"x": index}
+                )
+            ended.append(True)
+
+        outcomes = run_trials(
+            stream(),
+            jobs=jobs,
+            chunk_size=chunk_size,
+            on_outcome=lambda spec, outcome: landed.append(spec.index),
+        )
+        assert [o.value["x"] for o in outcomes] == list(range(7))
+        assert sorted(landed) == list(range(7))
+        assert ended == [True]
+        assert max(ahead) <= max(2, jobs * (chunk_size or 1))
+
     def test_duplicate_indices_rejected(self):
         specs = [TrialSpec(index=0, task=echo_task, seed=seed) for seed in (1, 2)]
         for jobs in (1, 2):
             with pytest.raises(ConfigurationError, match="unique"):
                 run_trials(specs, jobs=jobs)
+            with pytest.raises(ConfigurationError, match="unique"):
+                run_trials((spec for spec in specs), jobs=jobs)
 
     def test_reassembly_time_excludes_the_outcome_hook(self):
         timers = PhaseTimers()
