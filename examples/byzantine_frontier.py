@@ -17,10 +17,32 @@ import sys
 from repro import agree, elect_leader
 from repro.analysis.stats import summarize_trials
 from repro.analysis.tables import format_table
-from repro.faults.byzantine import run_byzantine_agreement, run_byzantine_election
-from repro.rng import seed_sequence
+from repro.faults.byzantine import ByzantinePlan
+from repro.rng import RngFactory, seed_sequence
+from repro.types import Decision
 
 ALPHA = 0.5
+
+
+def one_liar(n, seed, mode):
+    """A plan making one seed-drawn node a Byzantine ``mode`` attacker."""
+    (node,) = RngFactory(seed).stream("byzantine").sample(range(n), 1)
+    return ByzantinePlan(modes={node: mode})
+
+
+def forged_zero(result):
+    """Some honest node decided 0 although every input is 1."""
+    return any(
+        d is Decision.ZERO
+        for u, d in result.decisions.items()
+        if u not in result.faulty
+    )
+
+
+def captured(result):
+    """Every honest candidate believes the liar's forged rank 1."""
+    beliefs = {r for u, r in result.beliefs.items() if u not in result.faulty}
+    return beliefs - {None} == {1}
 
 
 def main() -> None:
@@ -46,9 +68,10 @@ def main() -> None:
     # Byzantine: ONE forger, all-1 inputs — any decided 0 is fabricated.
     validity_ok = summarize_trials(
         [
-            run_byzantine_agreement(
-                n=n, alpha=ALPHA, byzantine_count=1, seed=seed
-            ).validity_holds
+            not forged_zero(
+                agree(n=n, alpha=ALPHA, inputs="all1", seed=seed, adversary="none",
+                      byzantine=one_liar(n, seed, "zero_forger"))
+            )
             for seed in seed_sequence(2, trials)
         ]
     )
@@ -76,9 +99,10 @@ def main() -> None:
 
     not_captured = summarize_trials(
         [
-            not run_byzantine_election(
-                n=n, alpha=ALPHA, byzantine_count=1, seed=seed
-            ).byzantine_won
+            not captured(
+                elect_leader(n=n, alpha=ALPHA, seed=seed, adversary="none",
+                             byzantine=one_liar(n, seed, "rank_forger"))
+            )
             for seed in seed_sequence(4, trials)
         ]
     )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+from ..core.runner import _run_backend
 from ..faults.adversary import Adversary
 from ..sim.message import Delivery, Message
 from ..sim.network import Network
@@ -91,30 +92,19 @@ def flooding_consensus(
     if len(inputs) != n:
         raise ValueError(f"got {len(inputs)} inputs for n={n}")
     rounds = faulty_count + 1
-    run = None
-    if backend == "vec":
-        from ..errors import VecUnsupported
-        from ..sim.vec import ensure_vec_supported, run_flooding_vec
-
-        try:
-            ensure_vec_supported(adversary or Adversary())
-            run = run_flooding_vec(
-                n, inputs, seed, adversary or Adversary(), faulty_count, rounds
-            )
-        except VecUnsupported:
-            run = None  # fall back to the reference engine (same results)
-    elif backend != "ref":
-        from ..errors import ConfigurationError
-
-        raise ConfigurationError(
-            f"unknown backend {backend!r}; choose from ('ref', 'vec')"
-        )
+    adversary = adversary or Adversary()
+    run = _run_backend(
+        backend,
+        lambda vec, adv, f: vec.run_flooding_vec(n, inputs, seed, adv, f, rounds),
+        adversary,
+        faulty_count,
+    )
     if run is None:
         network = Network(
             n,
             lambda u: FloodingConsensusProtocol(u, n, inputs[u], rounds),
             seed=seed,
-            adversary=adversary or Adversary(),
+            adversary=adversary,
             max_faulty=faulty_count,
             inputs=inputs,
             knowledge=Knowledge.KT1,

@@ -12,7 +12,10 @@ True
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, List, Optional, Sequence, Union
+from types import ModuleType
+from typing import (
+    TYPE_CHECKING, Any, Callable, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from ..errors import ConfigurationError, VecUnsupported
 from ..faults.adversary import Adversary
@@ -25,10 +28,11 @@ from ..sim.network import Network, RunResult
 
 if TYPE_CHECKING:  # pragma: no cover - lazy import (faults.byzantine
     # depends on this package; see repro.faults.__init__)
-    from ..faults.byzantine import ByzantinePlan
+    from ..faults.byzantine import ByzantinePlan, ProtocolFactory
 from ..types import NodeState
 from .agreement import AgreementProtocol
 from .explicit import ExplicitAgreementProtocol, ExplicitLeaderElectionProtocol
+from .leader_based_agreement import LeaderBasedAgreementProtocol
 from .leader_election import LeaderElectionProtocol
 from .results import (
     AgreementResult,
@@ -50,13 +54,6 @@ INPUT_PATTERNS = ("all0", "all1", "mixed", "single0", "single1")
 #: Engine backends: the reference per-node engine, and the numpy
 #: struct-of-arrays engine (exact same results, see ``docs/VEC.md``).
 BACKENDS = ("ref", "vec")
-
-
-def _check_backend(backend: str) -> None:
-    if backend not in BACKENDS:
-        raise ConfigurationError(
-            f"unknown backend {backend!r}; choose from {BACKENDS}"
-        )
 
 
 def _resolve_adversary(spec: AdversarySpec, horizon: int) -> Adversary:
@@ -106,6 +103,98 @@ def make_inputs(
     raise ConfigurationError(
         f"unknown input pattern {pattern!r}; choose from {INPUT_PATTERNS}"
     )
+
+
+# ----------------------------------------------------------------------
+# The one run path
+# ----------------------------------------------------------------------
+
+#: A protocol's vec-engine run: ``(repro.sim.vec, adversary, faulty_count)``.
+_VecRunner = Callable[[ModuleType, Adversary, int], RunResult]
+
+
+def _run_backend(
+    backend: str,
+    run_vec: Optional[_VecRunner],
+    adversary: Adversary,
+    faulty_count: int,
+    **config: Any,
+) -> Optional[RunResult]:
+    """Check ``backend``; on ``"vec"`` return the vec engine's run,
+    ``run_vec(repro.sim.vec, adversary, faulty_count)``.
+
+    ``None`` means "run the reference engine": on ``"ref"``, without a
+    vec twin, and for an adversary or ``config`` (the engine options) vec
+    cannot mirror exactly.  The adversary's selection state is rebuilt
+    from the same seed, so that fallback run is byte-identical to a
+    ref-only run.
+    """
+    if backend not in BACKENDS:
+        raise ConfigurationError(
+            f"unknown backend {backend!r}; choose from {BACKENDS}"
+        )
+    if backend == "ref" or run_vec is None:
+        return None
+    from ..sim import vec
+
+    try:
+        vec.ensure_vec_supported(adversary, **config)
+        return run_vec(vec, adversary, faulty_count)
+    except VecUnsupported:
+        return None
+
+
+def _run(
+    n: int,
+    params: Params,
+    seed: int,
+    adversary: AdversarySpec,
+    faulty_count: Optional[int],
+    factory: "ProtocolFactory",
+    horizon: int,
+    inputs: Optional[Sequence[int]] = None,
+    *,
+    backend: str = "ref",
+    vec_run: Optional[_VecRunner] = None,
+    byzantine: Optional["ByzantinePlan"] = None,
+    attackers: Optional[Callable[[ModuleType], Mapping[str, "ProtocolFactory"]]] = None,
+    **engine: Any,
+) -> Tuple[RunResult, Adversary]:
+    """Run one protocol to ``horizon``; return the run and its adversary.
+
+    ``vec_run`` is the protocol's vec-engine twin (see
+    :func:`_run_backend`) and ``attackers(repro.faults.byzantine)`` its
+    family's Byzantine attacker table, built only when a plan runs.
+    ``engine`` holds the reference engine's options (trace, message
+    budget, timers, delivery schedule).  The returned adversary is the
+    one the run was charged to, wrapped when a Byzantine plan ran.
+    """
+    adversary = _resolve_adversary(adversary, horizon)
+    if faulty_count is None:
+        faulty_count = params.max_faulty
+    run = _run_backend(
+        backend, vec_run, adversary, faulty_count, byzantine=byzantine, **engine
+    )
+    if run is not None:
+        return run, adversary
+    if byzantine is not None and byzantine.modes:
+        from ..faults import byzantine as byz
+
+        adversary = byz.ByzantineAdversary(byzantine, adversary)
+        factory = byz.plan_factory(
+            byzantine, factory, attackers(byz) if attackers else None
+        )
+    network = Network(
+        n,
+        factory,
+        seed=seed,
+        adversary=adversary,
+        max_faulty=faulty_count,
+        inputs=inputs,
+        congest=CongestBudget(n),
+        **engine,
+    )
+    return network.run(horizon), adversary
 
 
 # ----------------------------------------------------------------------
@@ -163,60 +252,22 @@ def elect_leader(
         results and falls back to ``"ref"`` for configurations it cannot
         mirror exactly (see ``docs/VEC.md``).
     """
-    _check_backend(backend)
     params = params or Params(n=n, alpha=alpha)
     schedule = LeaderElectionSchedule.from_params(params)
-    total_rounds = schedule.last_round + extra_rounds
-    adversary = _resolve_adversary(adversary, total_rounds)
-    if faulty_count is None:
-        faulty_count = params.max_faulty
-    if backend == "vec":
-        from ..sim.vec import ensure_vec_supported, run_election_vec
-
-        try:
-            ensure_vec_supported(
-                adversary,
-                collect_trace=collect_trace,
-                message_budget=message_budget,
-                timers=timers,
-                delivery=delivery,
-                byzantine=byzantine,
-            )
-            run = run_election_vec(
-                params, schedule, seed, adversary, faulty_count, total_rounds
-            )
-            return _evaluate_leader_election(run, params, seed, adversary)
-        except VecUnsupported:
-            # Unsupported configs replay on the reference engine; the
-            # adversary's selection state is rebuilt from the same seed,
-            # so the fallback run is byte-identical to a ref-only run.
-            pass
-    factory = lambda u: LeaderElectionProtocol(u, params, schedule)  # noqa: E731
-    if byzantine is not None and byzantine.modes:
-        from ..faults.byzantine import (
-            ByzantineAdversary,
-            election_attackers,
-            plan_factory,
-        )
-
-        adversary = ByzantineAdversary(byzantine, adversary)
-        factory = plan_factory(
-            byzantine, factory, election_attackers(params, schedule)
-        )
-
-    network = Network(
-        n,
-        factory,
-        seed=seed,
-        adversary=adversary,
-        max_faulty=faulty_count,
-        congest=CongestBudget(n),
-        collect_trace=collect_trace,
-        message_budget=message_budget,
-        timers=timers,
-        delivery=delivery,
+    horizon = schedule.last_round + extra_rounds
+    run, adversary = _run(
+        n, params, seed, adversary, faulty_count,
+        lambda u: LeaderElectionProtocol(u, params, schedule),
+        horizon,
+        backend=backend,
+        vec_run=lambda vec, adv, f: vec.run_election_vec(
+            params, schedule, seed, adv, f, horizon
+        ),
+        byzantine=byzantine,
+        attackers=lambda byz: byz.election_attackers(params, schedule),
+        collect_trace=collect_trace, message_budget=message_budget,
+        timers=timers, delivery=delivery,
     )
-    run = network.run(total_rounds)
     return _evaluate_leader_election(run, params, seed, adversary)
 
 
@@ -267,20 +318,11 @@ def elect_leader_explicit(
     """
     params = params or Params(n=n, alpha=alpha)
     schedule = LeaderElectionSchedule.from_params(params)
-    total_rounds = schedule.last_round + EXPLICIT_TAIL_ROUNDS
-    adversary = _resolve_adversary(adversary, total_rounds)
-    if faulty_count is None:
-        faulty_count = params.max_faulty
-
-    network = Network(
-        n,
+    run, adversary = _run(
+        n, params, seed, adversary, faulty_count,
         lambda u: ExplicitLeaderElectionProtocol(u, params, schedule),
-        seed=seed,
-        adversary=adversary,
-        max_faulty=faulty_count,
-        congest=CongestBudget(n),
+        schedule.last_round + EXPLICIT_TAIL_ROUNDS,
     )
-    run = network.run(total_rounds)
     base = _evaluate_leader_election(run, params, seed, adversary)
     result = ExplicitLeaderElectionResult(**vars(base))
     for u in range(run.n):
@@ -318,67 +360,24 @@ def agree(
     (see :func:`make_inputs`).  Other parameters as in
     :func:`elect_leader`.
     """
-    _check_backend(backend)
     params = params or Params(n=n, alpha=alpha)
     schedule = AgreementSchedule.from_params(params)
-    total_rounds = schedule.last_round + extra_rounds
-    adversary = _resolve_adversary(adversary, total_rounds)
-    if faulty_count is None:
-        faulty_count = params.max_faulty
+    horizon = schedule.last_round + extra_rounds
     input_bits = make_inputs(n, inputs, seed)
-    if backend == "vec":
-        from ..sim.vec import ensure_vec_supported, run_agreement_vec
-
-        try:
-            ensure_vec_supported(
-                adversary,
-                collect_trace=collect_trace,
-                message_budget=message_budget,
-                timers=timers,
-                delivery=delivery,
-                byzantine=byzantine,
-            )
-            run = run_agreement_vec(
-                params,
-                schedule,
-                seed,
-                adversary,
-                faulty_count,
-                input_bits,
-                total_rounds,
-            )
-            return _evaluate_agreement(run, params, seed, adversary, input_bits)
-        except VecUnsupported:
-            pass  # fall back to the reference engine (same results)
-    factory = lambda u: AgreementProtocol(  # noqa: E731
-        u, params, schedule, input_bits[u]
+    run, adversary = _run(
+        n, params, seed, adversary, faulty_count,
+        lambda u: AgreementProtocol(u, params, schedule, input_bits[u]),
+        horizon,
+        input_bits,
+        backend=backend,
+        vec_run=lambda vec, adv, f: vec.run_agreement_vec(
+            params, schedule, seed, adv, f, input_bits, horizon
+        ),
+        byzantine=byzantine,
+        attackers=lambda byz: byz.agreement_attackers(params, schedule, input_bits),
+        collect_trace=collect_trace, message_budget=message_budget,
+        timers=timers, delivery=delivery,
     )
-    if byzantine is not None and byzantine.modes:
-        from ..faults.byzantine import (
-            ByzantineAdversary,
-            agreement_attackers,
-            plan_factory,
-        )
-
-        adversary = ByzantineAdversary(byzantine, adversary)
-        factory = plan_factory(
-            byzantine, factory, agreement_attackers(params, schedule, input_bits)
-        )
-
-    network = Network(
-        n,
-        factory,
-        seed=seed,
-        adversary=adversary,
-        max_faulty=faulty_count,
-        inputs=input_bits,
-        congest=CongestBudget(n),
-        collect_trace=collect_trace,
-        message_budget=message_budget,
-        timers=timers,
-        delivery=delivery,
-    )
-    run = network.run(total_rounds)
     return _evaluate_agreement(run, params, seed, adversary, input_bits)
 
 
@@ -398,22 +397,13 @@ def agree_explicit(
     """
     params = params or Params(n=n, alpha=alpha)
     schedule = AgreementSchedule.from_params(params)
-    total_rounds = schedule.last_round + EXPLICIT_TAIL_ROUNDS
-    adversary = _resolve_adversary(adversary, total_rounds)
-    if faulty_count is None:
-        faulty_count = params.max_faulty
     input_bits = make_inputs(n, inputs, seed)
-
-    network = Network(
-        n,
+    run, adversary = _run(
+        n, params, seed, adversary, faulty_count,
         lambda u: ExplicitAgreementProtocol(u, params, schedule, input_bits[u]),
-        seed=seed,
-        adversary=adversary,
-        max_faulty=faulty_count,
-        inputs=input_bits,
-        congest=CongestBudget(n),
+        schedule.last_round + EXPLICIT_TAIL_ROUNDS,
+        input_bits,
     )
-    run = network.run(total_rounds)
     base = _evaluate_agreement(run, params, seed, adversary, input_bits)
     result = ExplicitAgreementResult(**vars(base))
     for u in range(run.n):
@@ -440,26 +430,15 @@ def agree_via_election(
     a ``log n/alpha`` factor more than :func:`agree`; exists to measure
     that remark (experiment E13's table).
     """
-    from .leader_based_agreement import LeaderBasedAgreementProtocol
-
     params = params or Params(n=n, alpha=alpha)
     schedule = LeaderElectionSchedule.from_params(params)
-    total_rounds = schedule.last_round
-    adversary = _resolve_adversary(adversary, total_rounds)
-    if faulty_count is None:
-        faulty_count = params.max_faulty
     input_bits = make_inputs(n, inputs, seed)
-
-    network = Network(
-        n,
+    run, adversary = _run(
+        n, params, seed, adversary, faulty_count,
         lambda u: LeaderBasedAgreementProtocol(u, params, schedule, input_bits[u]),
-        seed=seed,
-        adversary=adversary,
-        max_faulty=faulty_count,
-        inputs=input_bits,
-        congest=CongestBudget(n),
+        schedule.last_round,
+        input_bits,
     )
-    run = network.run(total_rounds)
     return _evaluate_agreement(run, params, seed, adversary, input_bits)
 
 

@@ -17,11 +17,35 @@ from __future__ import annotations
 from typing import List
 
 from ..analysis.stats import mean, summarize_trials
+from ..core.results import AgreementResult, LeaderElectionResult
 from ..core.runner import agree, elect_leader
 from ..extensions.general_graphs import walk_based_leader_election
-from ..faults.byzantine import run_byzantine_agreement, run_byzantine_election
-from ..rng import seed_sequence
+from ..faults.byzantine import ByzantinePlan
+from ..rng import RngFactory, seed_sequence
+from ..types import Decision
 from .harness import Check, Experiment, ExperimentReport
+
+
+def _liar(n: int, seed: int, mode: str) -> ByzantinePlan:
+    """One Byzantine node in ``mode``, drawn from the seed's own stream."""
+    (node,) = RngFactory(seed).stream("byzantine").sample(range(n), 1)
+    return ByzantinePlan(modes={node: mode})
+
+
+def _validity_holds(result: AgreementResult) -> bool:
+    """Every honest decision is some honest node's input."""
+    inputs = {b for u, b in enumerate(result.inputs) if u not in result.faulty}
+    return all(
+        d is Decision.UNDECIDED or d.bit in inputs
+        for u, d in result.decisions.items()
+        if u not in result.faulty
+    )
+
+
+def _captured(result: LeaderElectionResult) -> bool:
+    """Honest candidates unanimously believe the forged rank 1."""
+    beliefs = {r for u, r in result.beliefs.items() if u not in result.faulty}
+    return beliefs - {None} == {1}
 
 
 def _run_e15(quick: bool) -> ExperimentReport:
@@ -39,11 +63,15 @@ def _run_e15(quick: bool) -> ExperimentReport:
             for seed in seed_sequence(120, trials)
         ]
     )
-    forged = [
-        run_byzantine_agreement(n=n, alpha=alpha, byzantine_count=1, seed=seed)
-        for seed in seed_sequence(121, trials)
-    ]
-    validity = summarize_trials([o.validity_holds for o in forged])
+    validity = summarize_trials(
+        [
+            _validity_holds(
+                agree(n=n, alpha=alpha, inputs="all1", seed=seed, adversary="none",
+                      byzantine=_liar(n, seed, "zero_forger"))
+            )
+            for seed in seed_sequence(121, trials)
+        ]
+    )
     rows.append(
         {
             "scenario": "agreement, 1 crash-faulty node",
@@ -77,11 +105,15 @@ def _run_e15(quick: bool) -> ExperimentReport:
             for seed in seed_sequence(122, trials)
         ]
     )
-    captured = [
-        run_byzantine_election(n=n, alpha=alpha, byzantine_count=1, seed=seed)
-        for seed in seed_sequence(123, trials)
-    ]
-    capture_rate = summarize_trials([o.byzantine_won for o in captured])
+    capture_rate = summarize_trials(
+        [
+            _captured(
+                elect_leader(n=n, alpha=alpha, seed=seed, adversary="none",
+                             byzantine=_liar(n, seed, "rank_forger"))
+            )
+            for seed in seed_sequence(123, trials)
+        ]
+    )
     rows.append(
         {
             "scenario": "election, 1 crash-faulty node",

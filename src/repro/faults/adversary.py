@@ -168,6 +168,12 @@ class FaultLedger:
                 f"adversary selected {len(self.faulty)} faulty nodes, "
                 f"budget is {max_faulty}"
             )
+        unknown = sorted(u for u in self.faulty if not 0 <= u < n)
+        if unknown:
+            raise SimulationError(
+                f"adversary selected node ids {unknown} outside the "
+                f"network's range(n) for n={n}"
+            )
         self.crashed: Dict[NodeId, Round] = {}
         self.alive: Set[NodeId] = set(self.faulty)
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.faults.adversary import Adversary, CrashOrder, FaultLedger, RoundView
+from repro.optdeps import have_numpy
 from repro.sim.message import Envelope, Message
 
 
@@ -163,3 +164,51 @@ class TestFaultLedger:
     def test_selection_over_budget_raises(self):
         with pytest.raises(SimulationError, match="selected 3 faulty nodes"):
             self._ledger(faulty=(1, 2, 3), max_faulty=2)
+
+
+class TestLedgerRejectsUnknownNodes:
+    """A selected id outside ``range(n)`` names no node: it would charge
+    the fault budget while nobody misbehaves, or crash the engine."""
+
+    def test_ledger_names_the_id_and_n(self):
+        with pytest.raises(SimulationError, match=r"\[8\].*n=8"):
+            FaultLedger(_Fixed({1, 8}), 8, 4, random.Random(0))
+
+    def test_election_plan_with_a_missing_node(self):
+        from repro.core.runner import elect_leader
+        from repro.faults.byzantine import ByzantinePlan
+
+        plan = ByzantinePlan(modes={500: "rank_forger"})
+        with pytest.raises(SimulationError, match=r"\[500\].*n=64"):
+            elect_leader(n=64, alpha=0.5, seed=1, byzantine=plan)
+
+    def test_agreement_plan_with_a_negative_node(self):
+        from repro.core.runner import agree
+        from repro.faults.byzantine import ByzantinePlan
+
+        plan = ByzantinePlan(modes={-1: "zero_forger"})
+        with pytest.raises(SimulationError, match=r"\[-1\].*n=64"):
+            agree(n=64, alpha=0.5, seed=1, byzantine=plan)
+
+    def test_script_crashing_a_missing_node(self):
+        from repro.chaos.script import CrashScript, DeliveryFilter
+        from repro.core.runner import elect_leader
+
+        script = CrashScript(
+            faulty=(70, 2), crashes={70: (2, DeliveryFilter(kind="drop_all"))}
+        )
+        with pytest.raises(SimulationError, match=r"\[70\].*n=64"):
+            elect_leader(n=64, alpha=0.5, seed=1, adversary=script)
+
+    @pytest.mark.skipif(not have_numpy(), reason="numpy not installed")
+    def test_vec_engine_rejects_a_missing_node(self):
+        from repro.core.schedule import LeaderElectionSchedule
+        from repro.params import Params
+        from repro.sim.vec import run_election_vec
+
+        params = Params(n=64, alpha=0.5)
+        schedule = LeaderElectionSchedule.from_params(params)
+        with pytest.raises(SimulationError, match=r"\[70\].*n=64"):
+            run_election_vec(
+                params, schedule, 1, _Fixed({70, 2}), 4, schedule.last_round
+            )

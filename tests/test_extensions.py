@@ -1,65 +1,113 @@
-"""Tests for the open-problem explorations (Byzantine runners, general graphs)."""
+"""Tests for the open-problem explorations (Byzantine attackers, general graphs)."""
 
 import pytest
 
+from repro.core.runner import agree, elect_leader
 from repro.extensions import walk_based_leader_election
 from repro.extensions.general_graphs import build_graph, mixing_walk_length
-from repro.faults.byzantine import run_byzantine_agreement, run_byzantine_election
+from repro.faults.byzantine import ByzantinePlan
+from repro.params import Params
 from repro.rng import RngFactory, seed_sequence
+from repro.types import Decision
+
+N = 96
+
+
+def _plan(count, seed, mode):
+    """``count`` attackers in ``mode``, drawn from the seed's own stream."""
+    nodes = RngFactory(seed).stream("byzantine").sample(range(N), count)
+    return ByzantinePlan(modes={u: mode for u in nodes})
+
+
+def _agree(count, seed):
+    """All-1 agreement with ``count`` zero-forgers: a decided 0 is forged."""
+    return agree(n=N, alpha=0.5, inputs="all1", seed=seed, adversary="none",
+                 byzantine=_plan(count, seed, "zero_forger"))
+
+
+def _elect(count, seed, mode="rank_forger"):
+    return elect_leader(n=N, alpha=0.5, seed=seed, adversary="none",
+                        byzantine=_plan(count, seed, mode))
+
+
+def _honest_bits(result):
+    return [
+        d.bit
+        for u, d in result.decisions.items()
+        if u not in result.faulty and d is not Decision.UNDECIDED
+    ]
+
+
+def _validity_holds(result):
+    inputs = {b for u, b in enumerate(result.inputs) if u not in result.faulty}
+    return all(bit in inputs for bit in _honest_bits(result))
+
+
+def _agreement_holds(result):
+    bits = _honest_bits(result)
+    return bool(bits) and len(set(bits)) == 1
+
+
+def _forged_ranks(mode):
+    if mode == "rank_forger":
+        return {1}
+    return {2, Params(n=N, alpha=0.5).rank_space - 1}
+
+
+def _byzantine_won(result, mode="rank_forger"):
+    """Honest candidates unanimously believe a forged rank."""
+    beliefs = {r for u, r in result.beliefs.items() if u not in result.faulty}
+    values = beliefs - {None}
+    return len(values) == 1 and values <= _forged_ranks(mode)
+
+
+def _election_intact(result, mode="rank_forger"):
+    """Exactly one honest ELECTED node, and no forged rank won."""
+    honest_elected = [u for u in result.elected_alive if u not in result.faulty]
+    return len(honest_elected) == 1 and not _byzantine_won(result, mode)
 
 
 class TestZeroForger:
     def test_breaks_validity_with_all_one_inputs(self):
         failures = sum(
-            not run_byzantine_agreement(
-                n=96, alpha=0.5, byzantine_count=1, seed=seed
-            ).validity_holds
-            for seed in seed_sequence(1, 6)
+            not _validity_holds(_agree(1, seed)) for seed in seed_sequence(1, 6)
         )
         assert failures >= 5
 
     def test_honest_nodes_still_agree_on_the_forged_value(self):
-        outcome = run_byzantine_agreement(n=96, alpha=0.5, byzantine_count=1, seed=2)
-        assert outcome.agreement_holds
-        assert set(outcome.honest_bits) == {0}
+        result = _agree(1, 2)
+        assert _agreement_holds(result)
+        assert set(_honest_bits(result)) == {0}
 
     def test_zero_forgers_harmless_with_zero_count(self):
-        outcome = run_byzantine_agreement(n=96, alpha=0.5, byzantine_count=0, seed=3)
-        assert outcome.validity_holds
-        assert outcome.agreement_holds
+        result = _agree(0, 3)
+        assert _validity_holds(result)
+        assert _agreement_holds(result)
 
     def test_decisions_exclude_byzantine_nodes(self):
-        outcome = run_byzantine_agreement(n=96, alpha=0.5, byzantine_count=3, seed=4)
-        assert not (set(outcome.decisions) & outcome.byzantine)
+        # Honest nodes are read as those outside ``result.faulty``, which
+        # holds exactly the plan's attackers when nothing crashes.
+        plan = _plan(3, 4, "zero_forger")
+        result = _agree(3, 4)
+        assert len(plan) == 3 and result.faulty == plan.nodes
+        assert not result.crashed
 
 
 class TestRankForger:
     def test_captures_election(self):
-        captures = sum(
-            run_byzantine_election(
-                n=96, alpha=0.5, byzantine_count=1, seed=seed
-            ).byzantine_won
-            for seed in seed_sequence(5, 6)
-        )
+        captures = sum(_byzantine_won(_elect(1, seed)) for seed in seed_sequence(5, 6))
         assert captures >= 5
 
     def test_intact_without_byzantine(self):
-        outcome = run_byzantine_election(n=96, alpha=0.5, byzantine_count=0, seed=6)
-        assert outcome.election_intact
-
-    def test_unknown_attack_rejected(self):
-        with pytest.raises(ValueError):
-            run_byzantine_election(n=96, alpha=0.5, byzantine_count=1, attack="bogus")
+        assert _election_intact(_elect(0, 6))
 
 
 class TestEquivocator:
     def test_voids_or_captures_election(self):
-        bad = 0
-        for seed in seed_sequence(7, 6):
-            outcome = run_byzantine_election(
-                n=96, alpha=0.5, byzantine_count=2, seed=seed, attack="equivocator"
-            )
-            bad += not outcome.election_intact
+        bad = sum(
+            not _election_intact(_elect(2, seed, "equivocator"), "equivocator")
+            for seed in seed_sequence(7, 6)
+        )
         assert bad >= 5
 
 
