@@ -79,3 +79,34 @@ class TestResultWiring:
         params = fast_params(96, alpha=0.25)
         result = agree(n=96, alpha=0.25, inputs="mixed", seed=1, params=params)
         assert result.alpha == 0.25
+
+
+class TestParamsSizeMismatch:
+    """``params`` built for another ``n`` is rejected, not run at either size."""
+
+    @pytest.mark.parametrize("backend", ["ref", "vec"])
+    @pytest.mark.parametrize("entry", ["elect_leader", "agree"])
+    def test_backend_entry_points(self, entry, backend):
+        from repro.core import runner
+        from repro.errors import ConfigurationError
+        from repro.params import Params
+
+        with pytest.raises(ConfigurationError, match="n=64.*n=128"):
+            getattr(runner, entry)(
+                n=128, alpha=0.5, seed=1, params=Params(n=64, alpha=0.5),
+                adversary="none", backend=backend,
+            )
+
+    @pytest.mark.parametrize(
+        "entry", ["elect_leader_explicit", "agree_explicit", "agree_via_election"]
+    )
+    def test_ref_only_entry_points(self, entry):
+        from repro.core import runner
+        from repro.errors import ConfigurationError
+        from repro.params import Params
+
+        with pytest.raises(ConfigurationError, match="n=64.*n=128"):
+            getattr(runner, entry)(
+                n=128, alpha=0.5, seed=1, params=Params(n=64, alpha=0.5),
+                adversary="none",
+            )
