@@ -8,11 +8,18 @@ seed 7, under the random crash adversary.  A one-node
 :class:`~repro.faults.byzantine.ByzantinePlan` on ``backend="vec"`` is
 pinned too: vec cannot mirror a plan, so it falls back to the reference
 engine and must land on the same run.
+
+The consumers that look protocol families up by name are pinned the
+same way, to the code before they shared one family table: Ben-Or runs
+(plain, with a forger, under delay), the sim and loopback-wire sides of
+every wire family's parity run, and one fuzz verdict per fuzzed family.
 """
 
 import pytest
 
+from repro.baselines.ben_or import ben_or_consensus, ben_or_horizon
 from repro.baselines.flooding import flooding_consensus
+from repro.chaos import PROTOCOLS, FuzzedAdversary, FuzzScenario, run_scenario
 from repro.core.runner import (
     agree,
     agree_explicit,
@@ -23,6 +30,10 @@ from repro.core.runner import (
 )
 from repro.faults.byzantine import ByzantinePlan
 from repro.faults.strategies import named_adversary
+from repro.net import WIRE_PROTOCOLS, WireSpec, default_script, run_loopback_trial
+from repro.net.spec import metrics_dict, sim_reference
+from repro.parallel.tasks import fuzz_trial
+from repro.sim.delivery import UniformDelay
 
 RUN = dict(n=128, alpha=0.5, seed=7, adversary="random")
 
@@ -160,3 +171,119 @@ def test_flooding_consensus(backend):
     }
     assert set(outcome.decisions.values()) == {0}
     assert len(outcome.decisions) == 128 - 16
+
+
+BEN_OR = {
+    "protocol": "ben-or",
+    "n": 64,
+    "faulty": 31,
+    "success": True,
+    "messages": 19026,
+    "rounds": 42,
+    "crashes": 31,
+}
+
+
+def _ben_or(max_delay=0, **kwargs):
+    return ben_or_consensus(
+        64,
+        make_inputs(64, "mixed", 7),
+        seed=7,
+        adversary=named_adversary("random", ben_or_horizon(max_delay)),
+        **kwargs,
+    )
+
+
+def test_ben_or_consensus():
+    outcome = _ben_or()
+    assert outcome.summary() == BEN_OR
+    assert (outcome.metrics.bits_sent, outcome.horizon) == (253638, 42)
+    assert set(outcome.decisions.values()) == {1}
+    assert len(outcome.decisions) == 33
+
+
+def test_ben_or_consensus_with_a_forger():
+    outcome = _ben_or(byzantine=ByzantinePlan(modes={5: "zero_forger"}))
+    assert outcome.summary() == {**BEN_OR, "messages": 7875, "crashes": 30}
+    assert outcome.metrics.bits_sent == 92673
+    assert set(outcome.decisions.values()) == {0}
+    assert len(outcome.decisions) == 34
+
+
+def test_ben_or_consensus_under_delay():
+    outcome = _ben_or(max_delay=2, delivery=UniformDelay(2, salt=7))
+    assert outcome.summary() == {**BEN_OR, "messages": 11592, "rounds": 119}
+    assert (outcome.metrics.bits_sent, outcome.horizon) == (149184, 124)
+    assert outcome.max_delay == 2
+    assert set(outcome.decisions.values()) == {1}
+
+
+WIRE_PINS = {
+    "election": (
+        {"messages_sent": 665, "messages_delivered": 665, "messages_dropped": 0,
+         "bits_sent": 14770, "rounds": 106, "horizon": 160, "crashes": 2},
+        {"protocol": "election", "success": True, "strict_success": False,
+         "leader_node": 2, "elected_alive": [], "elected_crashed": [2],
+         "candidates_all": [0, 1, 2, 3, 4, 5, 6, 7],
+         "candidates_alive": [0, 1, 4, 5, 6, 7],
+         "beliefs": {0: 365, 1: 365, 4: 365, 5: 365, 6: 365, 7: 365},
+         "ranks": {0: 3614, 1: 3503, 2: 365, 3: 3149, 4: 3369, 5: 3244,
+                   6: 3158, 7: 1650},
+         "crashed": {2: 53, 3: 106}, "faulty": [2, 3]},
+    ),
+    "agreement": (
+        {"messages_sent": 147, "messages_delivered": 147, "messages_dropped": 0,
+         "bits_sent": 1323, "rounds": 47, "horizon": 71, "crashes": 2},
+        {"protocol": "agreement", "success": True, "decision": 0,
+         "decisions": {u: "ZERO" for u in (0, 1, 4, 5, 6, 7)},
+         "candidates_all": [0, 1, 2, 3, 4, 5, 6, 7],
+         "candidates_alive": [0, 1, 4, 5, 6, 7],
+         "crashed": {2: 23, 3: 47}, "faulty": [2, 3]},
+    ),
+    "flooding": (
+        {"messages_sent": 84, "messages_delivered": 71, "messages_dropped": 2,
+         "bits_sent": 875, "rounds": 4, "horizon": 5, "crashes": 2},
+        {"protocol": "flooding", "success": True,
+         "decisions": {u: 0 for u in (0, 1, 4, 5, 6, 7)},
+         "crashed": {2: 1, 3: 3}, "faulty": [2, 3]},
+    ),
+}
+
+
+@pytest.mark.parametrize("protocol", WIRE_PROTOCOLS)
+def test_sim_reference_and_loopback_wire_outcome(protocol):
+    spec = WireSpec(protocol=protocol, n=8, seed=0)
+    spec = spec.with_(script=default_script(spec))
+    assert spec.script.faulty == (2, 3)
+    metrics, outcome = sim_reference(spec)
+    pinned_metrics, pinned_outcome = WIRE_PINS[protocol]
+    sim = metrics_dict(metrics)
+    assert {key: sim[key] for key in pinned_metrics} == pinned_metrics
+    assert outcome == pinned_outcome
+    trial = run_loopback_trial(spec)
+    assert trial.ok, trial.reason
+    assert trial.outcome == pinned_outcome
+    assert trial.metrics_dict() == sim
+
+
+#: (horizon, messages, faulty, crashes, rounds) of the fuzzed run at seed 1.
+FUZZ_PINS = {
+    "election": (162, 10214, 15, 13, 155),
+    "agreement": (59, 1184, 15, 12, 51),
+    "ben_or": (42, 12096, 15, 12, 42),
+}
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_fuzz_verdict(protocol):
+    assert fuzz_trial(seed=1, protocol=protocol, n=64, alpha=0.6) == {
+        "protocol": protocol, "n": 64, "alpha": 0.6, "seed": 1, "failed": False,
+    }
+    scenario = FuzzScenario(protocol=protocol, n=64, alpha=0.6)
+    adversary = FuzzedAdversary(horizon=scenario.horizon(), label="fuzz@1")
+    violations, result = run_scenario(scenario, 1, adversary)
+    assert violations == []
+    assert (
+        scenario.horizon(), result.messages, len(result.faulty),
+        result.metrics.crashes, result.rounds,
+    ) == FUZZ_PINS[protocol]

@@ -1,6 +1,9 @@
 """Public-API surface tests: __all__ must resolve, lazy exports must work."""
 
 import importlib
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -53,3 +56,22 @@ def test_every_public_item_has_a_docstring(package):
         item = getattr(module, name)
         if callable(item) or isinstance(item, type):
             assert item.__doc__, f"{package}.{name} lacks a docstring"
+
+
+def test_import_repro_core_stays_light():
+    """``import repro.core`` loads no baselines, chaos, net or numpy."""
+    probe = (
+        "import sys, repro.core; "
+        "print(sorted(m for m in sys.modules if m == 'numpy' or "
+        "m.split('.')[:2] in (['repro', 'baselines'], ['repro', 'chaos'], "
+        "['repro', 'net'])))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
