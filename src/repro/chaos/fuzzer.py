@@ -36,44 +36,35 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..baselines.ben_or import ben_or_consensus, ben_or_horizon
-from ..core.results import AgreementResult
-from ..core.runner import agree, elect_leader, make_inputs
-from ..core.schedule import AgreementSchedule, LeaderElectionSchedule
+from ..core.families import FAMILIES, Setup
 from ..errors import ConfigurationError, ReproError
 from ..faults.adversary import Adversary
-from ..faults.byzantine import AGREEMENT_MODES, ELECTION_MODES
 from ..obs.progress import ProgressSpec, ensure_progress
 from ..obs.provenance import Manifest
 from ..params import Params
 from ..rng import derive_seed
 from ..sim.network import RunResult
 from ..sim.validate import validate_run
-from ..types import Decision, Round
+from ..types import Round
 from .grammar import FuzzedAdversary, GrammarConfig, sample_script
-from .oracles import (
-    FRAGILE_PREFIXES,
-    agreement_oracle,
-    downgrade_fragile,
-    leader_election_oracle,
-)
+from .oracles import FRAGILE_PREFIXES, downgrade_fragile
 from .script import CrashScript, as_script
 
-PROTOCOLS = ("election", "agreement", "ben_or")
+#: The families with a fuzz oracle.
+PROTOCOLS = tuple(name for name, family in FAMILIES.items() if family.oracle)
 
 #: Byzantine modes that make sense per protocol family; the extended
 #: grammar's mode pool is intersected with this, so an agreement trial
-#: never draws a rank forger.  Ben-Or shares the agreement modes: its
-#: ``zero_forger`` forges decide certificates instead of input claims.
+#: never draws a rank forger.
 SCENARIO_MODES: Dict[str, Tuple[str, ...]] = {
-    "election": ELECTION_MODES,
-    "agreement": AGREEMENT_MODES,
-    "ben_or": AGREEMENT_MODES,
+    name: FAMILIES[name].modes for name in PROTOCOLS
 }
 
 #: Protocols designed for bounded-delay delivery: their oracles stay hard
 #: under a delay schedule (everything else is "async"-fragile there).
-DELAY_TOLERANT: Tuple[str, ...] = ("ben_or",)
+DELAY_TOLERANT: Tuple[str, ...] = tuple(
+    name for name in PROTOCOLS if FAMILIES[name].delay_tolerant
+)
 
 #: Reduced sampling constants for high-throughput fuzzing (validated by
 #: the test-suite's fast fixtures: same code paths, ~10x fewer messages).
@@ -101,18 +92,20 @@ class FuzzScenario:
         constants = FAST_CONSTANTS if self.fast_constants else {}
         return Params(n=self.n, alpha=self.alpha, **constants)
 
+    def _setup(self) -> Setup:
+        return FAMILIES[self.protocol].setup(
+            self.n,
+            self.alpha,
+            params=self.params(),
+            inputs=self.inputs,
+            extra_rounds=self.extra_rounds,
+        )
+
     def horizon(self) -> Round:
-        params = self.params()
-        if self.protocol == "election":
-            schedule = LeaderElectionSchedule.from_params(params)
-        elif self.protocol == "ben_or":
-            # Crash rounds are sampled against the synchronous timetable;
-            # a delayed run stretches past it, which only means the latest
-            # sampled crashes land while it is still running.
-            return ben_or_horizon() + self.extra_rounds
-        else:
-            schedule = AgreementSchedule.from_params(params)
-        return schedule.last_round + self.extra_rounds
+        # Crash rounds are sampled against the synchronous timetable; a
+        # delayed Ben-Or run stretches past it, which only means the
+        # latest sampled crashes land while it is still running.
+        return self._setup().horizon
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -223,7 +216,7 @@ def run_scenario(
     findings — consistently here, so replay and shrink classify a case
     exactly as the original fuzz trial did.
     """
-    params = scenario.params()
+    family = FAMILIES[scenario.protocol]
     byzantine = None
     delivery = None
     fragile_prefix: Optional[str] = None
@@ -233,41 +226,21 @@ def run_scenario(
             fragile_prefix = "byzantine"
         if not adversary.delivery.is_synchronous:
             delivery = adversary.delivery
-            if (
-                fragile_prefix is None
-                and scenario.protocol not in DELAY_TOLERANT
-            ):
+            if fragile_prefix is None and not family.delay_tolerant:
                 fragile_prefix = "async"
     try:
-        if scenario.protocol == "election":
-            result = elect_leader(
-                n=scenario.n,
-                alpha=scenario.alpha,
-                seed=seed,
-                adversary=adversary,
-                params=params,
-                collect_trace=True,
-                extra_rounds=scenario.extra_rounds,
-                delivery=delivery,
-                byzantine=byzantine,
-            )
-        elif scenario.protocol == "ben_or":
-            result = _run_ben_or(
-                scenario, seed, adversary, delivery, byzantine, params
-            )
-        else:
-            result = agree(
-                n=scenario.n,
-                alpha=scenario.alpha,
-                inputs=scenario.inputs,
-                seed=seed,
-                adversary=adversary,
-                params=params,
-                collect_trace=True,
-                extra_rounds=scenario.extra_rounds,
-                delivery=delivery,
-                byzantine=byzantine,
-            )
+        result = family.run(
+            scenario.n,
+            scenario.alpha,
+            seed,
+            adversary,
+            params=scenario.params(),
+            inputs=scenario.inputs,
+            collect_trace=True,
+            extra_rounds=scenario.extra_rounds,
+            delivery=delivery,
+            byzantine=byzantine,
+        )
     except ReproError as exc:
         return [f"engine: {type(exc).__name__}: {exc}"], None
 
@@ -283,70 +256,14 @@ def run_scenario(
         max_delay=result.max_delay,
     )
     violations = [f"model: {v}" for v in validate_run(run)]
-    if scenario.protocol == "election":
-        oracle_violations = leader_election_oracle(result)
-    else:
-        oracle_violations = agreement_oracle(result)
+    assert family.oracle is not None
+    oracle_violations = family.oracle(result)
     if fragile_prefix is not None:
         oracle_violations = downgrade_fragile(
             oracle_violations, prefix=fragile_prefix
         )
     violations.extend(oracle_violations)
     return violations, result
-
-
-def _run_ben_or(
-    scenario: FuzzScenario,
-    seed: int,
-    adversary: Adversary,
-    delivery,
-    byzantine,
-    params: Params,
-) -> AgreementResult:
-    """Run Ben-Or and adapt its outcome to an :class:`AgreementResult`.
-
-    The adapter lets the ordinary agreement oracle and the model validator
-    judge Ben-Or runs: decisions become :class:`~repro.types.Decision`
-    values (alive nodes without one are ``UNDECIDED``, a liveness matter
-    the safety oracle ignores).
-    """
-    input_bits = make_inputs(scenario.n, scenario.inputs, seed)
-    outcome = ben_or_consensus(
-        n=scenario.n,
-        inputs=input_bits,
-        seed=seed,
-        adversary=adversary,
-        faulty_count=params.max_faulty,
-        delivery=delivery,
-        byzantine=byzantine,
-        collect_trace=True,
-    )
-    if isinstance(adversary, CrashScript):
-        adversary_name = adversary.name()
-    else:
-        adversary_name = getattr(
-            adversary, "label", type(adversary).__name__
-        )
-    decisions = {
-        u: Decision.of(outcome.decisions[u])
-        if u in outcome.decisions
-        else Decision.UNDECIDED
-        for u in range(scenario.n)
-        if u not in outcome.crashed
-    }
-    return AgreementResult(
-        n=outcome.n,
-        alpha=scenario.alpha,
-        seed=seed,
-        adversary=str(adversary_name),
-        inputs=input_bits,
-        faulty=outcome.faulty,
-        crashed=outcome.crashed,
-        metrics=outcome.metrics,
-        trace=outcome.trace,
-        max_delay=outcome.max_delay,
-        decisions=decisions,
-    )
 
 
 def replay_case(case: FuzzCase) -> List[str]:
@@ -399,7 +316,7 @@ def fuzz_one(
         script = sample_script(
             rng,
             n=scenario.n,
-            max_faulty=scenario.params().max_faulty,
+            max_faulty=scenario._setup().faulty_count,
             horizon=scenario.horizon(),
             config=effective,
             label=f"fuzz@{seed}",

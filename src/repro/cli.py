@@ -82,6 +82,7 @@ import threading
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .analysis.tables import format_table
+from .core.families import FAMILIES
 from .core.runner import agree, elect_leader
 from .experiments.registry import all_experiments, get_experiment
 from .params import Params
@@ -207,7 +208,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     if args.protocol == "both":
         protocols = ("election", "agreement")
     elif args.protocol == "all":
-        protocols = ("election", "agreement", "ben_or")
+        protocols = _families("oracle")
     else:
         protocols = (args.protocol,)
     scenarios = [
@@ -335,15 +336,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from statistics import mean
 
     from .analysis.sweeps import collect, resilient_sweep
-    from .parallel import agreement_trial, ben_or_trial, election_trial
+    from .parallel import resolve_task
 
-    task = {
-        "election": election_trial,
-        "agreement": agreement_trial,
-        "ben_or": ben_or_trial,
-    }[args.task]
+    family = FAMILIES[args.task]
+    task = resolve_task(family.task)
     if args.max_delay:
-        if args.task != "ben_or":
+        if not family.delay_tolerant:
             raise SystemExit(
                 "--max-delay requires --task ben_or (the delay-tolerant "
                 "protocol); election/agreement assume synchronous delivery"
@@ -354,7 +352,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # profiled trials still fan out over the pool.
         task = functools.partial(task, profile=True)
     backend = args.backend if args.backend != "ref" else None
-    if backend and args.task == "ben_or":
+    if backend and family.vec is None:
         raise SystemExit(
             "--backend vec supports the election/agreement tasks only "
             "(Ben-Or is not vectorized)"
@@ -610,16 +608,17 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return report.exit_code
 
 
-def _wire_spec_from_args(args: argparse.Namespace, protocol: str):
+def _cmd_wire_run(args: argparse.Namespace) -> int:
     from .chaos import CrashScript
     from .net import WireSpec
+    from .net.driver import run_loopback_trial, run_wire_trial
 
     script = None
-    if getattr(args, "script", None):
+    if args.script:
         with open(args.script) as handle:
             script = CrashScript.from_dict(json.load(handle))
-    kwargs = {
-        "protocol": protocol,
+    kwargs: Dict[str, Any] = {
+        "protocol": args.protocol,
         "n": args.n,
         "alpha": args.alpha,
         "seed": args.seed,
@@ -629,20 +628,11 @@ def _wire_spec_from_args(args: argparse.Namespace, protocol: str):
         "round_timeout": args.round_timeout,
         "trial_timeout": args.trial_timeout,
     }
-    if protocol != "election":
+    if FAMILIES[args.protocol].takes_inputs:
         kwargs["inputs"] = args.inputs
-    if protocol == "flooding" and args.faulty_count is not None:
+    if getattr(args, "faulty_count", None) is not None:
         kwargs["faulty_count"] = args.faulty_count
-    return WireSpec(**kwargs)
-
-
-def _cmd_wire_run(args: argparse.Namespace) -> int:
-    from .net.driver import run_loopback_trial, run_wire_trial
-
-    protocol = {"elect": "election", "agree": "agreement", "flood": "flooding"}[
-        args.wire_command
-    ]
-    spec = _wire_spec_from_args(args, protocol)
+    spec = WireSpec(**kwargs)
     if args.backend == "loopback":
         result = run_loopback_trial(spec)
     else:
@@ -656,7 +646,7 @@ def _cmd_wire_run(args: argparse.Namespace) -> int:
     summary = dict(result.metrics.summary())
     summary["backend"] = result.backend
     summary["success"] = result.outcome["success"]
-    print(format_table([summary], title=f"wire {protocol} (n={spec.n})"))
+    print(format_table([summary], title=f"wire {spec.protocol} (n={spec.n})"))
     if result.journal_dir:
         print(f"journals: {result.journal_dir}")
     return 0 if result.outcome["success"] else 1
@@ -804,6 +794,11 @@ def _add_wire_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _families(field: str) -> Tuple[str, ...]:
+    """Names of the protocol families whose row sets ``field``."""
+    return tuple(name for name, family in FAMILIES.items() if getattr(family, field))
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -826,7 +821,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_cmd.add_argument(
         "--task",
-        choices=("election", "agreement", "ben_or"),
+        choices=_families("task"),
         default="election",
     )
     sweep_cmd.add_argument(
@@ -876,7 +871,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_cmd.add_argument("--seed", type=int, default=0, help="master seed")
     fuzz_cmd.add_argument(
         "--protocol",
-        choices=("election", "agreement", "ben_or", "both", "all"),
+        choices=_families("oracle") + ("both", "all"),
         default="both",
         help="protocol(s) to fuzz ('both' = the paper pair, 'all' adds "
         "the delay-tolerant ben_or baseline)",
@@ -917,7 +912,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("script", help="FuzzCase JSON, fuzz --out list, or bare script")
     replay.add_argument(
         "--protocol",
-        choices=("election", "agreement", "ben_or"),
+        choices=_families("oracle"),
         default="election",
         help="protocol for bare scripts (full cases carry their own scenario)",
     )
@@ -1091,15 +1086,15 @@ def build_parser() -> argparse.ArgumentParser:
         "SIGKILL fault injection (docs/NET.md)",
     )
     wire_sub = wire_cmd.add_subparsers(dest="wire_command", required=True)
-    for name, help_text in (
-        ("elect", "leader election over TCP node processes"),
-        ("agree", "agreement over TCP node processes"),
-        ("flood", "flooding baseline over TCP node processes"),
+    for name, protocol, help_text in (
+        ("elect", "election", "leader election over TCP node processes"),
+        ("agree", "agreement", "agreement over TCP node processes"),
+        ("flood", "flooding", "flooding baseline over TCP node processes"),
     ):
         wire_run = wire_sub.add_parser(name, help=help_text)
         wire_run.add_argument("--n", type=int, default=8)
         wire_run.add_argument("--alpha", type=float, default=0.75)
-        if name != "elect":
+        if FAMILIES[protocol].takes_inputs:
             wire_run.add_argument("--inputs", default="mixed")
         if name == "flood":
             wire_run.add_argument(
@@ -1123,7 +1118,7 @@ def build_parser() -> argparse.ArgumentParser:
             "in-process twin (same accounting, no sockets)",
         )
         _add_wire_common(wire_run)
-        wire_run.set_defaults(func=_cmd_wire_run)
+        wire_run.set_defaults(func=_cmd_wire_run, protocol=protocol)
 
     wire_parity = wire_sub.add_parser(
         "parity",
@@ -1133,8 +1128,8 @@ def build_parser() -> argparse.ArgumentParser:
     wire_parity.add_argument(
         "--protocols",
         nargs="+",
-        default=["election", "agreement", "flooding"],
-        choices=("election", "agreement", "flooding"),
+        default=list(_families("outputs")),
+        choices=_families("outputs"),
     )
     wire_parity.add_argument("--sizes", nargs="+", type=int, default=[8, 16, 32])
     wire_parity.add_argument(

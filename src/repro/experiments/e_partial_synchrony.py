@@ -22,10 +22,8 @@ from __future__ import annotations
 from typing import List
 
 from ..analysis.stats import mean, summarize_trials
-from ..baselines.ben_or import ben_or_consensus, ben_or_horizon
-from ..core.runner import elect_leader, make_inputs
-from ..faults import named_adversary
-from ..params import Params
+from ..core.families import FAMILIES
+from ..core.runner import elect_leader
 from ..rng import seed_sequence
 from ..sim.delivery import UniformDelay
 from .harness import Check, Experiment, ExperimentReport
@@ -72,7 +70,6 @@ def _run_e17(quick: bool) -> ExperimentReport:
         )
     )
 
-    budget = min(Params(n=n, alpha=alpha).max_faulty, (n - 1) // 2)
     mean_rounds = {}
     mean_messages = {}
     for delta in (0, 1, 3):
@@ -80,16 +77,7 @@ def _run_e17(quick: bool) -> ExperimentReport:
         for seed in seed_sequence(170 + delta, trials):
             delivery = UniformDelay(delta, salt=seed) if delta else None
             outcomes.append(
-                ben_or_consensus(
-                    n=n,
-                    inputs=make_inputs(n, "mixed", seed),
-                    seed=seed,
-                    adversary=named_adversary(
-                        "random", ben_or_horizon(delta)
-                    ),
-                    faulty_count=budget,
-                    delivery=delivery,
-                )
+                FAMILIES["ben_or"].run(n, alpha, seed, "random", delivery=delivery)
             )
         success = summarize_trials([o.success for o in outcomes])
         mean_rounds[delta] = mean([o.rounds for o in outcomes])

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..chaos.script import CrashScript, DeliveryFilter
+from ..core.families import FAMILIES
 from ..rng import derive_seed
 from .driver import WireTrialResult, run_loopback_trial, run_wire_trial
 from .spec import WIRE_PROTOCOLS, WireSpec, metrics_dict, sim_reference
@@ -126,10 +127,10 @@ def default_script(spec: WireSpec, victims: int = 2) -> CrashScript:
     families: one victim loses *all* of its final-round messages, the
     other keeps a pseudo-random half (partial final-round delivery).
     """
-    if spec.protocol == "flooding":
-        budget = victims  # flooding tolerates any f with f + 1 rounds
-    else:
-        budget = spec.params().max_faulty
+    # The budget of a run scripted with ``victims`` faulty nodes.
+    budget = FAMILIES[spec.protocol].budget(
+        spec.n, spec.alpha, None, range(victims)
+    )
     count = max(1, min(victims, budget))
     chosen: List[int] = []
     probe = 0
@@ -138,10 +139,7 @@ def default_script(spec: WireSpec, victims: int = 2) -> CrashScript:
         probe += 1
         if node not in chosen:
             chosen.append(node)
-    if spec.protocol == "flooding":
-        horizon = count + 1 + 2 + spec.extra_rounds
-    else:
-        horizon = spec.horizon()
+    horizon = spec.with_(faulty_count=count).horizon()
     crashes: Dict[int, Tuple[int, DeliveryFilter]] = {}
     for index, node in enumerate(chosen):
         round_ = max(1, ((index + 1) * horizon) // (count + 1))

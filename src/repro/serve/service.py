@@ -45,6 +45,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from ..analysis.sweeps import grid_points, resilient_sweep
+from ..core.families import FAMILIES
 from ..errors import ConfigurationError
 from ..exec import CACHED, ResilientExecutor, RetryPolicy, TrialOutcome, seal_record
 from ..obs.progress import ProgressReporter
@@ -55,9 +56,7 @@ from .cache import ResultCache
 #: cross the HTTP boundary, so a client can only run what the operator
 #: registered.
 TASKS: Dict[str, str] = {
-    "election": "repro.parallel.tasks:election_trial",
-    "agreement": "repro.parallel.tasks:agreement_trial",
-    "ben_or": "repro.parallel.tasks:ben_or_trial",
+    **{name: family.task for name, family in FAMILIES.items() if family.task},
     # Adversary fuzzing as a campaign: pure per-(scenario, seed) verdicts,
     # so repeat submissions hit the result cache like any other task.
     "fuzz": "repro.parallel.tasks:fuzz_trial",

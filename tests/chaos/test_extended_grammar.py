@@ -256,3 +256,34 @@ class TestByzantineShrink:
         assert shrunk.script.size() <= case.script.size()
         # The minimised schedule still reproduces.
         assert replay_case(shrunk) == shrunk.violations
+
+
+class TestBenOrBudget:
+    """Fuzzed Ben-Or runs stay within its ``f < n/2`` resilience bound."""
+
+    SCENARIO = FuzzScenario(protocol="ben_or", n=64, alpha=0.3)
+
+    def test_crash_only_runs(self):
+        from repro.chaos.fuzzer import run_scenario
+
+        for seed in range(30):
+            adversary = FuzzedAdversary(
+                horizon=self.SCENARIO.horizon(), label=f"fuzz@{seed}"
+            )
+            _, result = run_scenario(self.SCENARIO, seed, adversary)
+            assert len(result.faulty) <= 31, seed
+
+    def test_extended_scripts(self, monkeypatch):
+        import repro.chaos.fuzzer as fuzzer_module
+
+        scripts = []
+
+        def record(scenario, seed, adversary):
+            scripts.append(adversary)
+            return [], None
+
+        monkeypatch.setattr(fuzzer_module, "run_scenario", record)
+        config = GrammarConfig(max_delay=1, saturate_budget=True)
+        for seed in range(5):
+            fuzz_one(self.SCENARIO, seed, config=config)
+        assert [len(script.faulty) for script in scripts] == [31] * 5
