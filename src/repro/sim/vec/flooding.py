@@ -58,13 +58,14 @@ class _FloodingVec(VecEngineBase):
         adversary: Adversary,
         max_faulty: int,
         rounds: int,
+        total_rounds: Round,
     ) -> None:
         np = np_module()
         self.np = np
         self.n = n
         self.inputs = list(inputs)
         self.rounds = rounds
-        self.total_rounds = rounds + 2
+        self.total_rounds = total_rounds
         # The protocol draws nothing from the node streams; only the
         # adversary stream is consumed.
         self._init_adversary(seed, adversary, max_faulty, self.inputs)
@@ -226,7 +227,9 @@ def run_flooding_vec(
     adversary: Adversary,
     max_faulty: int,
     rounds: int,
+    total_rounds: Round,
 ) -> RunResult:
-    """Run flooding consensus (``rounds = f + 1``) on the vec backend."""
-    engine = _FloodingVec(n, inputs, seed, adversary, max_faulty, rounds)
+    """Run flooding consensus (``rounds = f + 1``) for ``total_rounds``
+    rounds on the vec backend."""
+    engine = _FloodingVec(n, inputs, seed, adversary, max_faulty, rounds, total_rounds)
     return engine.run()

@@ -1,10 +1,14 @@
 """Unit tests for the baseline plumbing (repro.baselines.base)."""
 
+import pytest
+
 from repro.baselines.base import (
     BaselineOutcome,
     evaluate_explicit_agreement,
     evaluate_implicit_agreement,
 )
+from repro.baselines.ben_or import ben_or_consensus
+from repro.baselines.flooding import flooding_consensus
 from repro.sim.metrics import Metrics
 
 
@@ -67,3 +71,24 @@ class TestOutcome:
         o.metrics.rounds = 7
         assert o.messages == 12
         assert o.rounds == 7
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda bits: flooding_consensus(8, bits),
+        lambda bits: flooding_consensus(8, bits, backend="vec"),
+        lambda bits: ben_or_consensus(8, bits),
+    ],
+    ids=["flooding-ref", "flooding-vec", "ben_or"],
+)
+class TestBaselineInputs:
+    """The baselines reject bad input vectors with ``ValueError``."""
+
+    def test_non_bit_input(self, run):
+        with pytest.raises(ValueError, match="input bit must be 0 or 1, got 2"):
+            run([0, 2] + [1] * 6)
+
+    def test_wrong_length(self, run):
+        with pytest.raises(ValueError, match="got 7 inputs for n=8"):
+            run([0] * 7)

@@ -158,23 +158,24 @@ def test_agreement_parity_input_patterns(pattern):
 # ----------------------------------------------------------------------
 
 
-def _flooding_pair(n, seed, advname):
+def _flooding_pair(n, seed, advname, extra_rounds=0):
     from repro.sim.vec import ensure_vec_supported, run_flooding_vec
 
     f = n // 3
+    horizon = f + 3 + extra_rounds
     bits = make_inputs(n, "mixed", seed)
-    adv = _resolve_adversary(advname, f + 3)
+    adv = _resolve_adversary(advname, horizon)
     ensure_vec_supported(adv)
-    vec = run_flooding_vec(n, bits, seed, adv, f, f + 1)
+    vec = run_flooding_vec(n, bits, seed, adv, f, f + 1, horizon)
     ref = Network(
         n,
         lambda u: FloodingConsensusProtocol(u, n, bits[u], f + 1),
         seed=seed,
-        adversary=_resolve_adversary(advname, f + 3),
+        adversary=_resolve_adversary(advname, horizon),
         max_faulty=f,
         inputs=bits,
         knowledge=Knowledge.KT1,
-    ).run(f + 3)
+    ).run(horizon)
     return ref, vec
 
 
@@ -185,6 +186,16 @@ def test_flooding_parity(n, advname):
         ref, vec = _flooding_pair(n, seed=5, advname=advname)
     except VecUnsupported as exc:
         pytest.skip(f"config not vectorized: {exc}")
+    _assert_runs_match(ref, vec)
+    for u in ref.alive:
+        assert ref.protocol(u).decided == vec.protocol(u).decided
+
+
+@pytest.mark.parametrize("advname", ["none", "random", "staggered"])
+def test_flooding_parity_with_extra_rounds(advname):
+    """The vec twin runs the horizon it is given, extra rounds included."""
+    ref, vec = _flooding_pair(64, seed=5, advname=advname, extra_rounds=3)
+    assert vec.horizon == 64 // 3 + 6
     _assert_runs_match(ref, vec)
     for u in ref.alive:
         assert ref.protocol(u).decided == vec.protocol(u).decided
