@@ -13,13 +13,24 @@ The consumers that look protocol families up by name are pinned the
 same way, to the code before they shared one family table: Ben-Or runs
 (plain, with a forger, under delay), the sim and loopback-wire sides of
 every wire family's parity run, and one fuzz verdict per fuzzed family.
+
+The leader-election paths that the vec parity grid never reaches are
+pinned node by node: bounded-delay delivery, each election attacker
+(at a seed where it drew the candidate coin and one where it did not),
+the explicit variant and the agreement-via-election reduction.  Each
+pin is the run's ``summary()`` plus a sha256 of every node's
+``(rank, is_candidate, state, leader_rank)``, so a change to any one
+node's candidate or referee outcome shows.
 """
+
+import hashlib
 
 import pytest
 
 from repro.baselines.ben_or import ben_or_consensus, ben_or_horizon
 from repro.baselines.flooding import flooding_consensus
 from repro.chaos import PROTOCOLS, FuzzedAdversary, FuzzScenario, run_scenario
+from repro.core.ranks import draw_rank
 from repro.core.runner import (
     agree,
     agree_explicit,
@@ -32,8 +43,11 @@ from repro.faults.byzantine import ByzantinePlan
 from repro.faults.strategies import named_adversary
 from repro.net import WIRE_PROTOCOLS, WireSpec, default_script, run_loopback_trial
 from repro.net.spec import metrics_dict, sim_reference
+from repro.params import Params
 from repro.parallel.tasks import fuzz_trial
+from repro.rng import RngFactory
 from repro.sim.delivery import UniformDelay
+from repro.sim.network import Network
 
 RUN = dict(n=128, alpha=0.5, seed=7, adversary="random")
 
@@ -171,6 +185,108 @@ def test_flooding_consensus(backend):
     }
     assert set(outcome.decisions.values()) == {0}
     assert len(outcome.decisions) == 128 - 16
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """Every :class:`RunResult` the reference engine returns, in order."""
+    captured = []
+    run = Network.run
+
+    def capture(self, *args, **kwargs):
+        captured.append(run(self, *args, **kwargs))
+        return captured[-1]
+
+    monkeypatch.setattr(Network, "run", capture)
+    return captured
+
+
+def _node_digest(run, *extra):
+    """sha256 of every node's election outputs plus the ``extra`` ones."""
+    rows = []
+    for u in range(run.n):
+        protocol = run.protocol(u)
+        row = [protocol.rank, protocol.is_candidate, protocol.state.name,
+               protocol.leader_rank]
+        for name in extra:
+            value = getattr(protocol, name)
+            row.append(getattr(value, "name", value))
+        rows.append(tuple(row))
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def _draws_candidacy(seed, node, draws_rank):
+    """Whether ``node``'s candidate coin comes up at ``seed`` (n=128)."""
+    params = Params(n=128, alpha=0.5)
+    rng = RngFactory(seed).node_stream(node)
+    if draws_rank:
+        draw_rank(rng, params.n, params.rank_exponent)
+    return rng.random() < params.candidate_probability
+
+
+def test_elect_leader_under_delay(runs):
+    result = elect_leader(**RUN, delivery=UniformDelay(2, salt=7))
+    assert result.summary() == {**ELECTION, "messages": 166832, "bits": 6200328}
+    assert _node_digest(runs[-1]) == (
+        "c53f13af4e55dade964213474a566feed0e8bc57d1b5cf63fcaae9f9415dcb10"
+    )
+
+
+#: mode, seed, node 5 draws the candidate coin, summary changes, digest.
+ATTACKER_PINS = [
+    ("rank_forger", 7, True, {
+        "leader_node": 5, "leader_is_faulty": True, "committee_size": 55,
+        "messages": 133403, "bits": 4548502, "crashes": 62,
+    }, "d30ce46263c147ea2528236602354b67273f03f7ddd5952ffb5cea5464496106"),
+    ("rank_forger", 0, False, {
+        "leader_node": 5, "leader_is_faulty": True, "committee_size": 66,
+        "messages": 193251, "bits": 6654230, "rounds": 581,
+        "rounds_executed": 581, "crashes": 63,
+    }, "0b6b8eabb6796d24cd1492cb93c6e88fa94a1c331665adb2c011cc548ca8ef97"),
+    ("equivocator", 5, True, {
+        "success": False, "strict_success": False, "leader_node": None,
+        "leader_is_faulty": None, "committee_size": 55, "messages": 148133,
+        "bits": 5237575, "rounds": 593, "rounds_executed": 593, "crashes": 63,
+    }, "32916d8c53115f886eedab25096df8975934fc3ec5ba419a5abd45a221a9e961"),
+    ("equivocator", 7, False, {
+        "success": False, "strict_success": False, "leader_node": None,
+        "leader_is_faulty": None, "committee_size": 55, "messages": 142391,
+        "bits": 5034561, "rounds": 593, "rounds_executed": 593, "crashes": 62,
+    }, "ff31712e110f47f9b58d856dd11bd8d7c902b789dad3bd545f43f3ff730633c7"),
+    ("omission", 5, True, {
+        "strict_success": False, "leader_node": 109, "leader_is_faulty": True,
+        "committee_size": 55, "messages": 144838, "bits": 5474781,
+        "rounds": 588, "rounds_executed": 588, "crashes": 63,
+    }, "d0eedca27618ebb74d448f0149fb98cc92ec92e910dc17600684112d4e2ab93d"),
+]
+
+
+@pytest.mark.parametrize(
+    "mode, seed, drawn, changes, digest", ATTACKER_PINS,
+    ids=[f"{mode}-seed{seed}" for mode, seed, *_ in ATTACKER_PINS],
+)
+def test_one_node_election_attacker(runs, mode, seed, drawn, changes, digest):
+    # A rank forger claims rank 1 without drawing one.
+    assert _draws_candidacy(seed, 5, draws_rank=mode != "rank_forger") is drawn
+    result = elect_leader(**{**RUN, "seed": seed}, byzantine=ByzantinePlan(modes={5: mode}))
+    assert result.summary() == {
+        **ELECTION, "adversary": "byz[1]+random@593", **changes,
+    }
+    assert _node_digest(runs[-1]) == digest
+
+
+def test_elect_leader_explicit_per_node(runs):
+    elect_leader_explicit(**RUN)
+    assert _node_digest(runs[-1], "explicit_leader_rank") == (
+        "c574123b15d785e5dab9bbd123303ebdd68f0d7e289ea64d6ea3bebe422183c5"
+    )
+
+
+def test_agree_via_election_per_node(runs):
+    agree_via_election(**RUN)
+    assert _node_digest(runs[-1], "decision") == (
+        "c8803f96185c51df43316bda80ec1c57f8a15f5a8501f093714bfacd124d7f5b"
+    )
 
 
 BEN_OR = {
