@@ -64,11 +64,7 @@ from repro.sim import Message, Network, Protocol  # noqa: E402
 
 
 class Flood(Protocol):
-    """Every node fans out to 4 random peers each of the first 3 rounds.
-
-    Mirrors ``bench_sim_engine.py`` so the two benchmarks track the same
-    quantity.
-    """
+    """Every node fans out to 4 random peers each of the first 3 rounds."""
 
     def __init__(self, node_id: int) -> None:
         self.node_id = node_id

@@ -74,7 +74,9 @@ class ExplicitLeaderElectionProtocol(LeaderElectionProtocol):
         self._broadcast_done = True
         belief = self.leader_rank
         if belief is None:
-            belief = min(self._rank_list) if self._rank_list else self.rank
+            assert self._cand is not None  # only candidates broadcast
+            rank_list = self._cand.rank_list
+            belief = min(rank_list) if rank_list else self.rank
         if belief is None:
             return
         if self.explicit_leader_rank is None or belief > self.explicit_leader_rank:

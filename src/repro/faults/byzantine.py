@@ -90,13 +90,7 @@ class RankForger(LeaderElectionProtocol):
         super().on_start(ctx)
         if not self.is_candidate:
             # A Byzantine node always volunteers.
-            self.is_candidate = True
-            self._rank_list = {self.rank}
-            self._referees = ctx.sample_nodes(self.params.referee_count)
-            announce = Message(MSG_RANK, (self.rank,))
-            for referee in self._referees:
-                ctx.send(referee, announce)
-            ctx.wake_at(self.schedule.iteration_start)
+            self._become_candidate(ctx)
 
 
 class Equivocator(LeaderElectionProtocol):

@@ -14,9 +14,9 @@ edge list instead of one Python iteration per message:
   (``q = j + (j >= pos)``) — no queues are materialised at all;
 * ``LE_AGG`` fan-out — referees touched by proposal deliveries reply to
   all registered members: one boolean gather over the edge list;
-* candidate batches (``LE_PROP``/``LE_CONF``) — the scalar state machine
-  (:mod:`._lestate`) emits at most one batch per invocation, transmitted
-  as one slice;
+* candidate batches (``LE_PROP``/``LE_CONF``) — the reference protocol's
+  own candidate automaton (:class:`~repro.core.leader_election.CandState`)
+  emits at most one batch per invocation, transmitted as one slice;
 * folds — per-referee proposal maxima and per-candidate aggregate maxima
   are order-independent monoids, computed with ``np.maximum.at`` plus a
   second owner/flag pass against the final maximum.
@@ -48,6 +48,7 @@ from ...core.leader_election import (
     MSG_LIST,
     MSG_PROPOSE,
     MSG_RANK,
+    CandState,
 )
 from ...core.ranks import draw_rank
 from ...core.schedule import LeaderElectionSchedule
@@ -59,7 +60,6 @@ from ...sim.message import Envelope, Message
 from ...sim.network import RunResult
 from ...sim.node import NEVER
 from ...types import NodeId, NodeState, Round
-from ._lestate import CandState
 from ._support import VecEngineBase, field_bits, mirror_sample, np_module
 
 #: Far-future sentinel for "never crashed" in the crash-round array.
@@ -216,8 +216,7 @@ class _ElectionVec(VecEngineBase):
 
         # -- candidate machines.
         self.cstates = [
-            CandState(cand_nodes[ci], cand_ranks[ci], cand_refs[ci], schedule)
-            for ci in range(m)
+            CandState(cand_ranks[ci], schedule) for ci in range(m)
         ]
         self.cand_wake = np.full(m, schedule.iteration_start, dtype=np.int64)
         # Delivered-LIST bitmap: R[ci, ord] == True iff the rank reached
@@ -668,14 +667,7 @@ class _ElectionVec(VecEngineBase):
     def _invoke_candidate(
         self, ci: int, r: Round, agg_ord_now, agg_flag_now
     ) -> None:
-        st = self.cstates[ci]
-        if st.rank_list is None:
-            # First act: materialise rank_list from the delivered-LIST
-            # bitmap (no LE_LIST can arrive after this round — drain
-            # guard), plus the candidate's own rank (on_start).
-            row = self.np.flatnonzero(self.R[ci])
-            st.rank_list = {self.uniq[j] for j in row.tolist()}
-            st.rank_list.add(st.rank)
+        st = self._filled_candidate(ci)
         agg = None
         o = int(agg_ord_now[ci])
         if o >= 0:
@@ -686,15 +678,26 @@ class _ElectionVec(VecEngineBase):
             return
         if len(emits) > 1:
             raise SimulationError(
-                f"vec candidate {st.node} emitted {len(emits)} batches in "
-                "one round (reference sends at most one)"
+                f"vec candidate {self.cand_nodes[ci]} emitted {len(emits)} "
+                "batches in one round (reference sends at most one)"
             )
         kind, f0, f1 = emits[0]
         self._round_emits[ci] = (kind, f0, f1)
         if self.cand_py_dsts[ci]:
             bits = 10 + field_bits(f0) + field_bits(f1)
             for dst in self.cand_py_dsts[ci]:
-                self._py_push(st.node, dst, kind, (f0, f1), bits)
+                self._py_push(self.cand_nodes[ci], dst, kind, (f0, f1), bits)
+
+    def _filled_candidate(self, ci: int) -> CandState:
+        """Candidate ``ci``'s automaton, its ``rank_list`` filled on first
+        use from the delivered-LIST bitmap plus its own rank (no LE_LIST
+        arrives after the first act: drain guard)."""
+        st = self.cstates[ci]
+        if st.rank_list is None:
+            row = self.np.flatnonzero(self.R[ci])
+            st.rank_list = {self.uniq[j] for j in row.tolist()}
+            st.rank_list.add(st.rank)
+        return st
 
     def _py_push(
         self,
@@ -824,7 +827,6 @@ class _ElectionVec(VecEngineBase):
     # ------------------------------------------------------------------
 
     def _build_result(self) -> RunResult:
-        np = self.np
         last = self.metrics.rounds_executed
         protocols: List[_LEStub] = []
         for u in range(self.n):
@@ -839,11 +841,7 @@ class _ElectionVec(VecEngineBase):
                 continue
             st = self.cstates[ci]
             if u not in self.crashed:
-                if st.rank_list is None:
-                    row = np.flatnonzero(self.R[ci])
-                    st.rank_list = {self.uniq[j] for j in row.tolist()}
-                    st.rank_list.add(st.rank)
-                st.on_stop(last)
+                self._filled_candidate(ci).on_stop(last)
             protocols.append(
                 _LEStub(st.rank, True, st.state, st.leader_rank)
             )

@@ -14,6 +14,7 @@ from repro.core.leader_election import (
     MSG_CONFIRM,
     MSG_PROPOSE,
     MSG_RANK,
+    CandState,
     LeaderElectionProtocol,
 )
 from repro.core.schedule import LeaderElectionSchedule
@@ -67,7 +68,8 @@ def make_candidate(rank=100, known_ranks=(100, 200, 300)):
     protocol = LeaderElectionProtocol(0, params, schedule)
     protocol.rank = rank
     protocol.is_candidate = True
-    protocol._rank_list = set(known_ranks)
+    protocol._cand = CandState(rank, schedule)
+    protocol._cand.rank_list = set(known_ranks)
     protocol._referees = [1, 2, 3]
     ctx = FakeContext()
     ctx.round = schedule.iteration_start
@@ -86,12 +88,12 @@ class TestStep1Propose:
         proposals = [m for _, m in ctx.sent if m.kind == MSG_PROPOSE]
         assert proposals
         assert proposals[0].fields == (200, 100)  # (own id, proposed min)
-        assert not protocol._marked
+        assert not protocol._cand.marked
 
     def test_self_proposal_marks_leader(self):
         protocol, ctx, _ = make_candidate(rank=100, known_ranks=(100, 200))
         protocol.on_round(ctx, [])
-        assert protocol._marked
+        assert protocol._cand.marked
         assert protocol.state is NodeState.ELECTED
         assert protocol.leader_rank == 100
 
@@ -113,8 +115,8 @@ class TestStep3Aggregates:
         protocol, ctx, _ = make_candidate(rank=100, known_ranks=(100, 300))
         protocol.on_round(ctx, [agg(True, 300)])
         assert protocol.leader_rank == 300
-        assert protocol._confirmed
-        assert not protocol._marked
+        assert protocol._cand.confirmed
+        assert not protocol._cand.marked
         # Adoption echoes the winner once (Step 3).
         echoes = [m for _, m in ctx.sent if m.kind == MSG_CONFIRM]
         assert echoes and echoes[0].fields == (100, 300)
@@ -123,29 +125,29 @@ class TestStep3Aggregates:
         protocol, ctx, _ = make_candidate(rank=100, known_ranks=(100, 300))
         protocol.on_round(ctx, [agg(False, 300)])
         assert protocol.leader_rank == 300
-        assert not protocol._confirmed
-        assert protocol._outstanding == 300
+        assert not protocol._cand.confirmed
+        assert protocol._cand.outstanding == 300
         supports = [m for _, m in ctx.sent if m.kind == MSG_CONFIRM]
         assert supports and supports[0].fields == (100, 300)
 
     def test_higher_rank_prunes_smaller(self):
         protocol, ctx, _ = make_candidate(rank=100, known_ranks=(100, 200, 300))
         protocol.on_round(ctx, [agg(True, 200)])
-        assert protocol._rank_list == {200, 300}
+        assert protocol._cand.rank_list == {200, 300}
 
     def test_higher_rank_unmarks_leader(self):
         protocol, ctx, _ = make_candidate(rank=100, known_ranks=(100,))
         protocol.on_round(ctx, [])  # proposes itself, marks
-        assert protocol._marked
+        assert protocol._cand.marked
         protocol.on_round(ctx, [agg(True, 500)])
-        assert not protocol._marked
+        assert not protocol._cand.marked
         assert protocol.leader_rank == 500
 
     def test_own_confirmation_establishes_leadership(self):
         protocol, ctx, _ = make_candidate(rank=100, known_ranks=(100,))
         protocol.on_round(ctx, [agg(True, 100)])
-        assert protocol._marked
-        assert protocol._confirmed
+        assert protocol._cand.marked
+        assert protocol._cand.confirmed
         assert ctx.idled
 
     def test_probe_of_own_rank_triggers_reconfirmation(self):
@@ -154,7 +156,7 @@ class TestStep3Aggregates:
         protocol.on_round(ctx, [agg(False, 100)])
         confs = [m for _, m in ctx.sent if m.kind == MSG_CONFIRM]
         assert (100, 100) in [m.fields for m in confs]
-        assert protocol._marked
+        assert protocol._cand.marked
 
     def test_stale_lower_echo_ignored_when_confirmed(self):
         protocol, ctx, _ = make_candidate(rank=100, known_ranks=(100, 300))
@@ -162,32 +164,32 @@ class TestStep3Aggregates:
         sent_before = len(ctx.sent)
         protocol.on_round(ctx, [agg(False, 200)])
         assert protocol.leader_rank == 300
-        assert protocol._confirmed
+        assert protocol._cand.confirmed
 
 
 class TestStep4Timeout:
     def test_timeout_removes_dead_rank_and_advances(self):
         protocol, ctx, schedule = make_candidate(rank=300, known_ranks=(100, 300))
         protocol.on_round(ctx, [])  # proposes 100
-        assert protocol._outstanding == 100
-        ctx.round = protocol._deadline
+        assert protocol._cand.outstanding == 100
+        ctx.round = protocol._cand.deadline
         ctx.sent.clear()
         protocol.on_round(ctx, [])
         # 100 presumed crashed; next minimum (own rank 300) proposed.
-        assert 100 not in protocol._rank_list
+        assert 100 not in protocol._cand.rank_list
         proposals = [m for _, m in ctx.sent if m.kind == MSG_PROPOSE]
         assert proposals and proposals[0].fields == (300, 300)
-        assert protocol._marked  # proposed own rank
+        assert protocol._cand.marked  # proposed own rank
 
     def test_own_rank_timeout_retries_confirmation(self):
         protocol, ctx, schedule = make_candidate(rank=100, known_ranks=(100,))
         protocol.on_round(ctx, [])  # proposes itself
-        ctx.round = protocol._deadline
+        ctx.round = protocol._cand.deadline
         ctx.sent.clear()
         protocol.on_round(ctx, [])
         confs = [m for _, m in ctx.sent if m.kind == MSG_CONFIRM]
         assert (100, 100) in [m.fields for m in confs]
-        assert 100 in protocol._rank_list  # own rank never disowned
+        assert 100 in protocol._cand.rank_list  # own rank never disowned
 
 
 class TestRefereeRole:
