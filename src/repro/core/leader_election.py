@@ -48,8 +48,8 @@ LE_AGG maximum and returns the message batches it wants sent to its
 referees and the round it wants to wake next.  Both engines run that one
 automaton.  :class:`LeaderElectionProtocol` is the reference adapter: it
 keeps the referee role (Steps 2 and 4), feeds LE_LIST ranks into the
-automaton's ``rank_list``, and turns each batch into one ``ctx.send`` per
-referee, in sample order.  The vec engine (:mod:`repro.sim.vec.election`)
+automaton's ``rank_list``, and sends each batch to its referees, in
+sample order.  The vec engine (:mod:`repro.sim.vec.election`)
 drives the same automaton from its arrays.
 """
 
@@ -381,9 +381,7 @@ class LeaderElectionProtocol(Protocol):
             ctx.round, None if agg_best is None else (agg_best, agg_owner)
         )
         for kind, sender_rank, value in emits:
-            message = Message(kind, (sender_rank, value))
-            for referee in self._referees:
-                ctx.send(referee, message)
+            ctx.send_many(self._referees, Message(kind, (sender_rank, value)))
         self.state = cand.state
         self.leader_rank = cand.leader_rank
         if cand.next_wake == NEVER:
@@ -417,9 +415,7 @@ class LeaderElectionProtocol(Protocol):
         self._cand = CandState(self.rank, self.schedule)
         self._cand.rank_list = {self.rank}
         self._referees = ctx.sample_nodes(self.params.referee_count)
-        announce = Message(MSG_RANK, (self.rank,))
-        for referee in self._referees:
-            ctx.send(referee, announce)
+        ctx.send_many(self._referees, Message(MSG_RANK, (self.rank,)))
         ctx.wake_at(self.schedule.iteration_start)
 
     # ------------------------------------------------------------------
@@ -436,23 +432,31 @@ class LeaderElectionProtocol(Protocol):
         known_before = dict(self._registered)
         for sender, rank in arrivals:
             self._registered[sender] = rank
-        cache: dict = {}
-
-        def list_message(rank: int) -> Message:
-            message = cache.get(rank)
-            if message is None:
-                message = cache[rank] = Message(MSG_LIST, (rank,))
-            return message
-
+        # One LE_LIST message per rank; a sender re-registering under a
+        # new rank keeps its old one in ``known_before``.
+        lists = {
+            rank: Message(MSG_LIST, (rank,))
+            for rank in (*known_before.values(), *(rank for _, rank in arrivals))
+        }
         for sender, rank in arrivals:
+            message = lists[rank]
             for other, other_rank in known_before.items():
-                ctx.send(other, list_message(rank))
-                ctx.send(sender, list_message(other_rank))
-        # Ranks among the new arrivals themselves.
-        for i, (sender, rank) in enumerate(arrivals):
-            for other, other_rank in arrivals[i + 1 :]:
-                ctx.send(other, list_message(rank))
-                ctx.send(sender, list_message(other_rank))
+                ctx.send(other, message)
+                ctx.send(sender, lists[other_rank])
+        if len(arrivals) < 2:
+            return
+        # Ranks among the new arrivals themselves: each gets every other
+        # arrival's rank, in arrival order.  A destination's first message
+        # fixes its place in the transmit order that crash filters draw
+        # against; the two single sends keep that order a1, a0, a2, ...
+        senders = [sender for sender, _ in arrivals]
+        messages = [lists[rank] for _, rank in arrivals]
+        ctx.send(senders[1], messages[0])
+        ctx.send(senders[0], messages[1])
+        ctx.send_many(senders[2:], messages[0])
+        ctx.send_many(senders[2:], messages[1])
+        for j in range(2, len(senders)):
+            ctx.send_many(senders[:j] + senders[j + 1 :], messages[j])
 
     def _referee_aggregate(self, ctx: Context, proposals: List[tuple]) -> None:
         """Steps 2/4: forward the maximum proposed rank to all registered
@@ -461,6 +465,4 @@ class LeaderElectionProtocol(Protocol):
         owner = any(
             sender_rank == rank == best for sender_rank, rank in proposals
         )
-        reply = Message(MSG_AGG, (int(owner), best))
-        for candidate in self._registered:
-            ctx.send(candidate, reply)
+        ctx.send_many(self._registered, Message(MSG_AGG, (int(owner), best)))

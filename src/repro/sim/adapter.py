@@ -9,9 +9,10 @@ coordinator replays the global half over TCP.
 :class:`NodeRuntime` extracts that per-node half without forking the
 engine: it reuses the real :class:`~repro.sim.node.Context` (so KT0
 enforcement, CONGEST checks, RNG streams, and every Protocol subclass
-behave bit-for-bit as in the sim) behind a minimal duck-typed network
-shim.  The shim exposes the only two members ``Context`` reads —
-``n`` and ``_enqueue`` — so the engine's hot loop is untouched.
+behave bit-for-bit as in the sim).  The context appends its sends onto
+this runtime's own per-destination queue dict, exactly as it appends
+onto the engine's ``Network._queues[u]``, so both owners transmit from
+the same structure filled by the same code.
 
 Faithfulness contract (mirrors ``Network._execute_round``):
 
@@ -34,28 +35,18 @@ identical protocol decisions.
 
 from __future__ import annotations
 
+import math
 import random
-from collections import deque
 from typing import Deque, Dict, List, Optional
 
-from ..errors import CongestViolation
 from ..params import CongestBudget
 from ..types import Knowledge, NodeId, Round
 from .message import Delivery, Envelope, Message
 from .node import NEVER, Context, Protocol
 
 
-class _NetworkShim:
-    """The two-member surface of ``Network`` that ``Context`` touches."""
-
-    __slots__ = ("n", "_runtime")
-
-    def __init__(self, n: int, runtime: "NodeRuntime") -> None:
-        self.n = n
-        self._runtime = runtime
-
-    def _enqueue(self, src: NodeId, dst: NodeId, message: Message) -> None:
-        self._runtime._enqueue(src, dst, message)
+def _unscheduled(node: NodeId) -> None:
+    """A runtime transmits every round, so a new backlog needs no notice."""
 
 
 class NodeRuntime:
@@ -80,39 +71,23 @@ class NodeRuntime:
         self.node_id = node_id
         self.n = n
         self.protocol = protocol
-        self._congest = congest or CongestBudget(n)
-        self._bits_cap = self._congest.bits_per_message
-        self._enforce_congest = enforce_congest
-        shim = _NetworkShim(n, self)
+        # Per-destination FIFO queues, insertion-ordered exactly like the
+        # engine's ``_queues[src]`` dict (transmit order must match); the
+        # context appends to this dict itself.
+        self._queues: Dict[NodeId, Deque[Message]] = {}
+        bits_cap = (congest or CongestBudget(n)).bits_per_message
         self.ctx = Context(
-            shim,  # type: ignore[arg-type]  # duck-typed Network surface
             node_id,
+            n,
             rng,
-            enforce_kt0=knowledge is Knowledge.KT0,
+            knowledge is Knowledge.KT0,
+            self._queues,
+            bits_cap if enforce_congest else math.inf,
+            _unscheduled,
         )
         if knowledge is Knowledge.KT1:
             self.ctx._known.update(u for u in range(n) if u != node_id)
-        # Per-destination FIFO queues, insertion-ordered exactly like the
-        # engine's ``_queues[src]`` dict (transmit order must match).
-        self._queues: Dict[NodeId, Deque[Message]] = {}
-        self._queued_total = 0
         self._stopped = False
-
-    # ------------------------------------------------------------------
-    # Shim callback
-    # ------------------------------------------------------------------
-
-    def _enqueue(self, src: NodeId, dst: NodeId, message: Message) -> None:
-        if self._enforce_congest and message.bits > self._bits_cap:
-            raise CongestViolation(
-                f"message {message.kind!r} is {message.bits} bits; CONGEST "
-                f"budget is {self._bits_cap} bits for n={self.n}"
-            )
-        queue = self._queues.get(dst)
-        if queue is None:
-            self._queues[dst] = queue = deque()
-        queue.append(message)
-        self._queued_total += 1
 
     # ------------------------------------------------------------------
     # Engine-replica round API
@@ -131,7 +106,7 @@ class NodeRuntime:
     @property
     def backlog(self) -> int:
         """Messages queued but not yet transmitted."""
-        return self._queued_total
+        return sum(len(queue) for queue in self._queues.values())
 
     def should_step(self, round_: Round, has_inbox: bool) -> bool:
         """Whether the engine would run ``on_round`` this round.
@@ -175,7 +150,6 @@ class NodeRuntime:
         emptied: List[NodeId] = []
         for dst, queue in self._queues.items():
             sent.append(Envelope(self.node_id, dst, queue.popleft(), round_))
-            self._queued_total -= 1
             if not queue:
                 emptied.append(dst)
         for dst in emptied:
@@ -184,9 +158,8 @@ class NodeRuntime:
 
     def discard_backlog(self) -> int:
         """Drop all queued messages (the engine does this on crash)."""
-        dropped = self._queued_total
+        dropped = self.backlog
         self._queues.clear()
-        self._queued_total = 0
         return dropped
 
     def stop(self, last_round: Round) -> None:

@@ -6,13 +6,13 @@ for the paper's null value).  This is deliberately restrictive: it makes
 the CONGEST bit-size of every payload computable, so the engine can verify
 that protocols never exceed the per-edge budget.
 
-These classes sit on the engine's hottest allocation path (every send
-constructs a :class:`Message` and an :class:`Envelope`, every receive a
-:class:`Delivery`), so they are hand-written ``__slots__`` classes rather
-than dataclasses: no per-instance ``__dict__``, no ``object.__setattr__``
-per field, and the bit size of a ``(kind, fields)`` pair is memoised in a
-module-level cache so repeated identical payloads skip both validation
-and the log2 arithmetic.
+These classes sit on the engine's hottest allocation path (every
+transmitted message is one :class:`Envelope`, and the receiver reads that
+same record as its :class:`Delivery`), so they are hand-written
+``__slots__`` classes rather than dataclasses: no per-instance
+``__dict__``, no ``object.__setattr__`` per field, and the bit size of a
+``(kind, fields)`` pair is memoised in a module-level cache so repeated
+identical payloads skip both validation and the log2 arithmetic.
 """
 
 from __future__ import annotations
@@ -58,12 +58,9 @@ class Message:
         # already validated.
         try:
             bits = _BITS_CACHE.get((kind, fields))
-        except TypeError:  # unhashable fields container; validate directly
+        except TypeError:  # a list (unhashable): keep it as a tuple
+            fields = tuple(fields)
             bits = None
-            self.kind = kind
-            self.fields = fields
-            self.bits = _validated_bits(kind, fields)
-            return
         if bits is None:
             bits = _validated_bits(kind, fields)
             if len(_BITS_CACHE) >= _BITS_CACHE_MAX:
@@ -105,21 +102,46 @@ def payload_bits(message: Message) -> int:
     is that a rank in ``[1, n^4]`` costs ``Theta(log n)`` bits so that the
     engine's CONGEST check is meaningful.
     """
-    return _validated_bits(message.kind, tuple(message.fields))
+    return _validated_bits(message.kind, message.fields)
 
 
-class Envelope:
-    """A message in flight on a specific ordered edge in a specific round."""
+class Delivery:
+    """One message record: what the wire carries and what the receiver reads.
 
-    __slots__ = ("src", "dst", "message", "round_sent")
+    The engine builds one record per transmitted message (an
+    :class:`Envelope`), stamps ``round_received`` on it at delivery and
+    hands that same object to the receiver; every field is a plain slot.
+
+    ``sender`` is the arrival port: under KT0 it is the only handle the
+    receiver gains, and it may be used as a send address (reply).
+    ``round_received`` is the round the receiver actually saw the message:
+    ``round_sent + 1`` in the synchronous model, anywhere in
+    ``[round_sent + 1, round_sent + 1 + Δ]`` under a Δ-bounded
+    :class:`~repro.sim.delivery.DeliverySchedule` — protocols that care
+    about age must read it rather than assume one-round latency.  A record
+    built by this constructor, on the receiving side, has no ``dst`` or
+    ``round_sent``.
+    """
+
+    __slots__ = (
+        "sender", "dst", "message", "kind", "fields", "round_sent", "round_received"
+    )
 
     def __init__(
-        self, src: NodeId, dst: NodeId, message: Message, round_sent: Round
+        self, sender: NodeId, message: Message, round_received: Round
     ) -> None:
-        self.src = src
-        self.dst = dst
+        self.sender = sender
+        self.dst: Optional[NodeId] = None
         self.message = message
-        self.round_sent = round_sent
+        self.kind = message.kind
+        self.fields = message.fields
+        self.round_sent: Optional[Round] = None
+        self.round_received: Optional[Round] = round_received
+
+    @property
+    def src(self) -> NodeId:
+        """The sending node (the same handle as ``sender``)."""
+        return self.sender
 
     @property
     def bits(self) -> int:
@@ -128,75 +150,27 @@ class Envelope:
 
     def __repr__(self) -> str:
         return (
-            f"Envelope(src={self.src!r}, dst={self.dst!r}, "
-            f"message={self.message!r}, round_sent={self.round_sent!r})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Envelope):
-            return (
-                self.src == other.src
-                and self.dst == other.dst
-                and self.message == other.message
-                and self.round_sent == other.round_sent
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.src, self.dst, self.message, self.round_sent))
-
-    def __reduce__(self):
-        return (Envelope, (self.src, self.dst, self.message, self.round_sent))
-
-
-class Delivery:
-    """A message as seen by its receiver.
-
-    ``sender`` is the arrival port: under KT0 it is the only handle the
-    receiver gains, and it may be used as a send address (reply).
-    ``round_received`` is the round the receiver actually saw the message:
-    ``round_sent + 1`` in the synchronous model, anywhere in
-    ``[round_sent + 1, round_sent + 1 + Δ]`` under a Δ-bounded
-    :class:`~repro.sim.delivery.DeliverySchedule` — protocols that care
-    about age must read it rather than assume one-round latency.
-    """
-
-    __slots__ = ("sender", "message", "round_received")
-
-    def __init__(
-        self, sender: NodeId, message: Message, round_received: Round
-    ) -> None:
-        self.sender = sender
-        self.message = message
-        self.round_received = round_received
-
-    @property
-    def kind(self) -> str:
-        """Kind tag of the enclosed message."""
-        return self.message.kind
-
-    @property
-    def fields(self) -> Tuple[Field, ...]:
-        """Fields of the enclosed message."""
-        return self.message.fields
-
-    def __repr__(self) -> str:
-        return (
-            f"Delivery(sender={self.sender!r}, message={self.message!r}, "
+            f"{type(self).__name__}(sender={self.sender!r}, dst={self.dst!r}, "
+            f"message={self.message!r}, round_sent={self.round_sent!r}, "
             f"round_received={self.round_received!r})"
         )
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Delivery):
-            return (
-                self.sender == other.sender
-                and self.message == other.message
-                and self.round_received == other.round_received
-            )
-        return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self.sender, self.message, self.round_received))
+class Envelope(Delivery):
+    """The record of a message put on the edge ``src -> dst`` in
+    ``round_sent``; ``round_received`` is ``None`` until delivery."""
 
-    def __reduce__(self):
-        return (Delivery, (self.sender, self.message, self.round_received))
+    __slots__ = ()
+    dst: NodeId
+    round_sent: Round
+
+    def __init__(
+        self, src: NodeId, dst: NodeId, message: Message, round_sent: Round
+    ) -> None:
+        self.sender = src
+        self.dst = dst
+        self.message = message
+        self.kind = message.kind
+        self.fields = message.fields
+        self.round_sent = round_sent
+        self.round_received = None

@@ -20,14 +20,12 @@ address (a) ports obtained from :meth:`Context.sample_nodes` and (b) the
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, List, Sequence, Set
+from collections import deque
+from typing import Callable, Deque, Dict, Iterable, List, NoReturn, Set
 
-from ..errors import KnowledgeViolation, ProtocolViolation
-from ..types import Knowledge, NodeId, Round
+from ..errors import CongestViolation, KnowledgeViolation, ProtocolViolation
+from ..types import NodeId, Round
 from .message import Delivery, Message
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .network import Network
 
 #: Sentinel wake round meaning "never" (idle until a message arrives).
 NEVER: Round = -1
@@ -58,37 +56,40 @@ class Context:
     """Engine API handed to a protocol on every callback.
 
     The context is long-lived (one per node per run); ``round`` and the
-    wake bookkeeping are refreshed by the engine between callbacks.
+    wake bookkeeping are refreshed by the engine between callbacks.  Sends
+    go straight onto ``queues``, the node's per-destination FIFO dict that
+    its owner (the engine or a :class:`~repro.sim.adapter.NodeRuntime`)
+    transmits from; ``on_pending(node_id)`` runs when that dict goes from
+    empty to non-empty.  ``bits_cap`` is the CONGEST bound (``math.inf``
+    when unenforced).
     """
 
     __slots__ = (
-        "_network",
-        "node_id",
-        "n",
-        "rng",
-        "round",
-        "_next_wake",
-        "_known",
-        "_halted",
-        "_enforce_kt0",
+        "node_id", "n", "rng", "round", "_next_wake", "_known", "_halted",
+        "_enforce_kt0", "_queues", "_bits_cap", "_on_pending",
     )
 
     def __init__(
         self,
-        network: "Network",
         node_id: NodeId,
+        n: int,
         rng: random.Random,
         enforce_kt0: bool,
+        queues: Dict[NodeId, Deque[Message]],
+        bits_cap: float,
+        on_pending: Callable[[NodeId], None],
     ) -> None:
-        self._network = network
         self.node_id = node_id
-        self.n = network.n
+        self.n = n
         self.rng = rng
         self.round: Round = 0
         self._next_wake: Round = 1
         self._known: Set[NodeId] = set()
         self._halted = False
         self._enforce_kt0 = enforce_kt0
+        self._queues = queues
+        self._bits_cap = bits_cap
+        self._on_pending = on_pending
 
     # ------------------------------------------------------------------
     # Sending and sampling
@@ -100,10 +101,48 @@ class Context:
         Messages on the same ordered edge are transmitted one per round
         (CONGEST); distinct destinations go out in parallel.
         """
+        if (
+            self._halted
+            or dst == self.node_id
+            or not 0 <= dst < self.n
+            or (self._enforce_kt0 and dst not in self._known)
+            or message.bits > self._bits_cap
+        ):
+            self._reject(dst, message)
+        queues = self._queues
+        queue = queues.get(dst)
+        if queue is None:
+            if not queues:
+                self._on_pending(self.node_id)
+            queues[dst] = queue = deque()
+        queue.append(message)
+
+    def send_many(self, dsts: Iterable[NodeId], message: Message) -> None:
+        """Queue the same message for every destination in ``dsts``, in
+        order: the same checks and queue appends as one :meth:`send` per
+        destination."""
+        node, n, queues = self.node_id, self.n, self._queues
+        known = self._known if self._enforce_kt0 else None
+        blocked = self._halted or message.bits > self._bits_cap
+        for dst in dsts:
+            if (
+                blocked
+                or dst == node
+                or not 0 <= dst < n
+                or (known is not None and dst not in known)
+            ):
+                self._reject(dst, message)
+            queue = queues.get(dst)
+            if queue is None:
+                if not queues:
+                    self._on_pending(node)
+                queues[dst] = queue = deque()
+            queue.append(message)
+
+    def _reject(self, dst: NodeId, message: Message) -> NoReturn:
+        """Raise the error of the first check that a send fails."""
         if self._halted:
-            raise ProtocolViolation(
-                f"node {self.node_id} sent after halting"
-            )
+            raise ProtocolViolation(f"node {self.node_id} sent after halting")
         if dst == self.node_id:
             raise ProtocolViolation(f"node {self.node_id} sent to itself")
         if not 0 <= dst < self.n:
@@ -112,12 +151,10 @@ class Context:
             raise KnowledgeViolation(
                 f"KT0: node {self.node_id} addressed unknown node {dst}"
             )
-        self._network._enqueue(self.node_id, dst, message)
-
-    def send_many(self, dsts: Sequence[NodeId], message: Message) -> None:
-        """Queue the same message for every destination in ``dsts``."""
-        for dst in dsts:
-            self.send(dst, message)
+        raise CongestViolation(
+            f"message {message.kind!r} is {message.bits} bits; CONGEST "
+            f"budget is {self._bits_cap} bits for n={self.n}"
+        )
 
     def sample_nodes(self, k: int) -> List[NodeId]:
         """Sample ``k`` distinct uniform ports (other nodes) — KT0 style.

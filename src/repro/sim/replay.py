@@ -4,7 +4,8 @@
 :class:`RoundSummary` per executed round — message counts by kind, active
 senders, crashes — so protocol behaviour can be inspected without
 re-running anything; :func:`timeline_table` renders the result as an
-aligned text table.
+aligned text table.  Message events are keyed by their send round, so
+every summary satisfies ``sent == delivered + dropped + expired``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ class RoundSummary:
     sent: int = 0
     delivered: int = 0
     dropped: int = 0
+    expired: int = 0
     by_kind: "Counter[str]" = field(default_factory=Counter)
     senders: Set[NodeId] = field(default_factory=set)
     crashed: List[NodeId] = field(default_factory=list)
@@ -39,6 +41,7 @@ class RoundSummary:
             "sent": self.sent,
             "delivered": self.delivered,
             "dropped": self.dropped,
+            "expired": self.expired,
             "senders": len(self.senders),
             "crashed": len(self.crashed),
             "kinds": kinds,
@@ -66,6 +69,8 @@ def replay(trace: Trace) -> List[RoundSummary]:
             summary.delivered += 1
         elif event.kind == "drop":
             summary.dropped += 1
+        elif event.kind == "expire":
+            summary.expired += 1
         elif event.kind == "crash":
             summary.crashed.append(event.src)
     return [rounds[r] for r in sorted(rounds)]
@@ -80,7 +85,10 @@ def timeline_table(trace: Trace, limit: int = 0) -> str:
         summaries = summaries[:limit]
     return format_table(
         [s.as_row() for s in summaries],
-        columns=["round", "sent", "delivered", "dropped", "senders", "crashed", "kinds"],
+        columns=[
+            "round", "sent", "delivered", "dropped", "expired", "senders",
+            "crashed", "kinds",
+        ],
         title="execution timeline",
     )
 

@@ -63,6 +63,19 @@ class TestReplay:
         assert sum(s.sent for s in summaries) == result.messages
         assert sum(len(s.crashed) for s in summaries) == result.metrics.crashes
 
+    def test_every_round_conserves_its_sends(self, fast_params):
+        # A crashing run where receivers die with messages on the way:
+        # each round's sends are delivered, dropped or expired.
+        result = elect_leader(
+            n=96, alpha=0.5, seed=2, adversary="random",
+            params=fast_params(96), collect_trace=True,
+        )
+        summaries = replay(result.trace)
+        assert sum(s.expired for s in summaries) == result.metrics.messages_expired > 0
+        for s in summaries:
+            assert s.sent == s.delivered + s.dropped + s.expired, s.round
+        assert "expired" in timeline_table(result.trace)
+
 
 class TestRefereeCrash:
     def test_protocol_survives_lemma3_attack(self, fast_params):
