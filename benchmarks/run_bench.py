@@ -276,7 +276,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check-obs-overhead",
         action="store_true",
-        help="exit 1 when the disabled observability path exceeds 5% "
+        help="exit 1 when the disabled observability path exceeds 5%% "
         "over the uninstrumented engine",
     )
     parser.add_argument(

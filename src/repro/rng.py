@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterator
+from typing import Iterator, List
 
 
 def derive_seed(master_seed: int, *labels: object) -> int:
@@ -31,6 +31,21 @@ def derive_seed(master_seed: int, *labels: object) -> int:
         digest.update(b"/")
         digest.update(repr(label).encode("utf-8"))
     return int.from_bytes(digest.digest()[:8], "big")
+
+
+def node_seeds(master_seed: int, n: int) -> List[int]:
+    """``[derive_seed(master_seed, "node", u) for u in range(n)]``.
+
+    The shared ``"<master>/'node'/"`` prefix is hashed once and each node
+    hashes only its id on a copy of that state.
+    """
+    prefix = hashlib.sha256(f"{int(master_seed)}/{'node'!r}/".encode("utf-8"))
+    seeds = []
+    for u in range(n):
+        digest = prefix.copy()
+        digest.update(str(u).encode("ascii"))
+        seeds.append(int.from_bytes(digest.digest()[:8], "big"))
+    return seeds
 
 
 class RngFactory:

@@ -3,6 +3,8 @@
 Everything here exists to make the array engines *bit-compatible* with
 the reference engine:
 
+* :func:`replay_nodes` replays every node's rank and candidate coin (in
+  numpy MT19937 lanes at scale) and hands back each candidate's stream;
 * :func:`mirror_sample` replays :meth:`repro.sim.node.Context.sample_nodes`
   draw-for-draw on a node's private rng stream;
 * :func:`field_bits` is the closed form of the CONGEST field size used by
@@ -20,8 +22,21 @@ the reference engine:
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from functools import lru_cache
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
+from ...core.ranks import draw_rank
 from ...errors import VecUnsupported
 from ...faults.adversary import Adversary, FaultLedger
 from ...faults.strategies import (
@@ -34,7 +49,7 @@ from ...faults.strategies import (
     StaggeredCrash,
 )
 from ...optdeps import require_numpy
-from ...rng import RngFactory
+from ...rng import RngFactory, node_seeds
 from ...sim.message import Envelope
 from ...sim.metrics import Metrics
 from ...sim.network import RunResult
@@ -87,6 +102,172 @@ def ensure_vec_supported(
         raise VecUnsupported("bounded-delay delivery requires the reference engine")
     if byzantine is not None and getattr(byzantine, "modes", None):
         raise VecUnsupported("Byzantine plans require the reference engine")
+
+
+#: Below this n the lane replay's 1,247 sequential column steps cost more
+#: than seeding every node's ``random.Random`` one at a time.
+_LANE_MIN_N = 1000
+#: Outputs computed per lane; a lane whose draws need more is replayed
+#: by ``random.Random``.  Output k < 227 of the first twist depends only
+#: on pre-twist words k, k + 1 and k + 397.
+_LANE_WORDS = 64
+#: Lanes seeded together: bounds the ``(624, lanes)`` state to ~20 MB.
+_LANE_CHUNK = 8192
+
+_MT_N, _MT_M = 624, 397
+
+
+@lru_cache(maxsize=1)
+def _mt_base_state() -> Tuple[int, ...]:
+    """MT19937 ``init_genrand(19650218)``, where every ``init_by_array`` starts."""
+    state = [19650218]
+    for i in range(1, _MT_N):
+        prev = state[-1]
+        state.append((1812433253 * (prev ^ (prev >> 30)) + i) & 0xFFFFFFFF)
+    return tuple(state)
+
+
+def _lane_outputs(np: Any, key0: Any, key1: Any) -> Any:
+    """The first ``_LANE_WORDS`` tempered MT19937 outputs of every lane.
+
+    Lane j is CPython's ``random.Random`` seeded with the two-word key
+    ``[key0[j], key1[j]]`` (a seed in ``[2**32, 2**64)``): ``init_by_array``
+    runs as 1,247 column steps on a ``(624, lanes)`` ``uint32`` array, in
+    place so that every product wraps mod 2**32.
+    """
+    u32 = np.uint32
+    W = _LANE_WORDS
+    out = np.empty((W, len(key0)), dtype=u32)
+    base = np.array(_mt_base_state(), dtype=u32)[:, None]
+    for start in range(0, len(key0), _LANE_CHUNK):
+        stop = min(start + _LANE_CHUNK, len(key0))
+        mt = np.repeat(base, stop - start, axis=1)
+        t = np.empty(stop - start, dtype=u32)
+        # init_key[j] + j for j = 0, 1
+        addends = (key0[start:stop], key1[start:stop] + u32(1))
+        i = 1
+        for step in range(2 * _MT_N - 1):
+            prev, cur = mt[i - 1], mt[i]
+            np.right_shift(prev, u32(30), out=t)
+            np.bitwise_xor(t, prev, out=t)
+            if step < _MT_N:
+                np.multiply(t, u32(1664525), out=t)
+                np.bitwise_xor(t, cur, out=t)
+                np.add(t, addends[step & 1], out=cur)
+            else:
+                np.multiply(t, u32(1566083941), out=t)
+                np.bitwise_xor(t, cur, out=t)
+                np.subtract(t, u32(i), out=cur)
+            i += 1
+            if i == _MT_N:
+                mt[0] = mt[_MT_N - 1]
+                i = 1
+        mt[0] = 0x80000000
+        # First twist, outputs 0..W-1 only, then tempering.
+        y = (mt[:W] & u32(0x80000000)) | (mt[1 : W + 1] & u32(0x7FFFFFFF))
+        y = mt[_MT_M : _MT_M + W] ^ (y >> u32(1)) ^ ((y & u32(1)) * u32(0x9908B0DF))
+        y ^= y >> u32(11)
+        y ^= (y << u32(7)) & u32(0x9D2C5680)
+        y ^= (y << u32(15)) & u32(0xEFC60000)
+        y ^= y >> u32(18)
+        out[:, start:stop] = y
+    return out
+
+
+def _lane_draws(
+    np: Any, words: Any, n: int, rank_exponent: Optional[int]
+) -> Tuple[List[int], Any, Any]:
+    """Each lane's ``randint(1, n**rank_exponent)`` and then ``random()``.
+
+    The rank is ``1 + _randbelow(B)``: ``getrandbits(k)`` with
+    ``k = B.bit_length()`` (little-endian words, the last shifted right by
+    ``32*w - k``), retried while ``r >= B``.  Lanes still rejecting at try
+    t all sit at word ``t*w``, so the masked loop needs no per-lane
+    offsets.  Returns the ranks (empty without ``rank_exponent``), the
+    coins and a mask of the lanes whose draws ran past ``_LANE_WORDS``.
+    """
+    W, lanes = words.shape
+    pos = np.zeros(lanes, dtype=np.int64)
+    ranks: List[int] = []
+    if rank_exponent is not None:
+        bound = n**rank_exponent
+        k = bound.bit_length()
+        w = (k + 31) // 32
+        bound_words = [(bound >> (32 * j)) & 0xFFFFFFFF for j in range(w)]
+        value = np.zeros((w, lanes), dtype=np.uint32)
+        pos[:] = W  # out of words unless accepted below
+        active = np.arange(lanes)
+        at = 0
+        while active.size and at + w <= W:
+            r = words[at : at + w, active]
+            r[w - 1] >>= np.uint32(32 * w - k)
+            # r < bound, compared from the most significant word down.
+            less = np.zeros(active.size, dtype=bool)
+            equal = np.ones(active.size, dtype=bool)
+            for j in reversed(range(w)):
+                less |= equal & (r[j] < bound_words[j])
+                equal &= r[j] == bound_words[j]
+            accepted = active[less]
+            value[:, accepted] = r[:, less]
+            at += w
+            pos[accepted] = at
+            active = active[~less]
+        low = value[0].astype(np.uint64)
+        if w > 1:
+            low |= value[1].astype(np.uint64) << np.uint64(32)
+        ranks = low.tolist()
+        for j in range(2, w):
+            ranks = [r | (h << (32 * j)) for r, h in zip(ranks, value[j].tolist())]
+        ranks = [r + 1 for r in ranks]
+    spent = pos + 2 > W
+    pos[spent] = 0
+    cols = np.arange(lanes)
+    a = words[pos, cols] >> np.uint32(5)
+    b = words[pos + 1, cols] >> np.uint32(6)
+    coins = (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
+    return ranks, coins, spent
+
+
+def replay_nodes(
+    seed: int, n: int, p_cand: float, rank_exponent: Optional[int] = None
+) -> Tuple[List[int], Any, Dict[NodeId, random.Random]]:
+    """Replay every node's ``on_start`` draws on its private rng stream.
+
+    Node u's stream is ``random.Random(derive_seed(seed, "node", u))``; it
+    draws ``draw_rank`` (when ``rank_exponent`` is given) and then the
+    candidate coin ``random()``.  Returns ``(ranks, coins, cand_rngs)``:
+    every node's rank (empty without ``rank_exponent``), every coin as
+    a float64 array, and each candidate (``coin < p_cand``), in id order,
+    mapped to its stream positioned right after the coin, where
+    :func:`mirror_sample` starts.
+
+    From ``n >= _LANE_MIN_N`` the draws are replayed for all nodes at once
+    in numpy lanes (:func:`_lane_outputs`).  Only candidates, lanes whose
+    seed is below ``2**32`` (CPython seeds those from a one-word key) and
+    lanes that run out of words are replayed by ``random.Random``.
+    """
+    np = np_module()
+    seeds = node_seeds(seed, n)
+    if n < _LANE_MIN_N or rank_exponent is not None and rank_exponent < 1:
+        # (draw_rank rejects an exponent below 1 on the first node)
+        ranks = [0] * n if rank_exponent is not None else []
+        coins = np.zeros(n)
+        scalar: Iterable[int] = range(n)
+    else:
+        seeds_a = np.array(seeds, dtype=np.uint64)
+        key1 = (seeds_a >> np.uint64(32)).astype(np.uint32)
+        words = _lane_outputs(np, seeds_a.astype(np.uint32), key1)
+        ranks, coins, spent = _lane_draws(np, words, n, rank_exponent)
+        scalar = np.flatnonzero(spent | (key1 == 0) | (coins < p_cand)).tolist()
+    cand_rngs: Dict[NodeId, random.Random] = {}
+    for u in scalar:
+        rng = random.Random(seeds[u])
+        if rank_exponent is not None:
+            ranks[u] = draw_rank(rng, n, rank_exponent)
+        coin = coins[u] = rng.random()
+        if coin < p_cand:
+            cand_rngs[u] = rng
+    return ranks, coins, cand_rngs
 
 
 def mirror_sample(

@@ -38,11 +38,10 @@ from ...core.schedule import AgreementSchedule
 from ...errors import SimulationError
 from ...faults.adversary import Adversary
 from ...params import Params
-from ...rng import RngFactory
 from ...sim.message import Envelope, Message
 from ...sim.network import RunResult
 from ...types import Decision, NodeId, Round
-from ._support import VecEngineBase, mirror_sample, np_module
+from ._support import VecEngineBase, mirror_sample, np_module, replay_nodes
 
 _NO_CRASH = 1 << 62
 
@@ -84,16 +83,10 @@ class _AgreementVec(VecEngineBase):
         self.input_bits = list(input_bits)
 
         # Replay the candidate coin and referee sample per node.
-        rngs = RngFactory(seed)
-        p_cand = params.candidate_probability
         K = params.referee_count
-        cand_nodes: List[NodeId] = []
-        cand_refs: List[List[NodeId]] = []
-        for u in range(n):
-            rng = rngs.node_stream(u)
-            if rng.random() < p_cand:
-                cand_nodes.append(u)
-                cand_refs.append(mirror_sample(rng, n, u, K))
+        _, _, cand_rngs = replay_nodes(seed, n, params.candidate_probability)
+        cand_nodes: List[NodeId] = list(cand_rngs)
+        cand_refs = [mirror_sample(rng, n, u, K) for u, rng in cand_rngs.items()]
         self.m = m = len(cand_nodes)
         self.K = K
         self.cand_nodes = cand_nodes

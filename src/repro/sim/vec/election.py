@@ -50,17 +50,21 @@ from ...core.leader_election import (
     MSG_RANK,
     CandState,
 )
-from ...core.ranks import draw_rank
 from ...core.schedule import LeaderElectionSchedule
 from ...errors import SimulationError, VecUnsupported
 from ...faults.adversary import Adversary
 from ...params import Params
-from ...rng import RngFactory
 from ...sim.message import Envelope, Message
 from ...sim.network import RunResult
 from ...sim.node import NEVER
 from ...types import NodeId, NodeState, Round
-from ._support import VecEngineBase, field_bits, mirror_sample, np_module
+from ._support import (
+    VecEngineBase,
+    field_bits,
+    mirror_sample,
+    np_module,
+    replay_nodes,
+)
 
 #: Far-future sentinel for "never crashed" in the crash-round array.
 _NO_CRASH = 1 << 62
@@ -105,21 +109,13 @@ class _ElectionVec(VecEngineBase):
 
         # -- replay every node's private rng (rank, candidate coin, and —
         # for candidates — the referee sample), exactly as on_start does.
-        rngs = RngFactory(seed)
-        p_cand = params.candidate_probability
         K = params.referee_count
-        ranks: List[int] = []
-        cand_nodes: List[NodeId] = []
-        cand_ranks: List[int] = []
-        cand_refs: List[List[NodeId]] = []
-        for u in range(n):
-            rng = rngs.node_stream(u)
-            rank = draw_rank(rng, n, params.rank_exponent)
-            ranks.append(rank)
-            if rng.random() < p_cand:
-                cand_nodes.append(u)
-                cand_ranks.append(rank)
-                cand_refs.append(mirror_sample(rng, n, u, K))
+        ranks, _, cand_rngs = replay_nodes(
+            seed, n, params.candidate_probability, params.rank_exponent
+        )
+        cand_nodes: List[NodeId] = list(cand_rngs)
+        cand_ranks = [ranks[u] for u in cand_nodes]
+        cand_refs = [mirror_sample(rng, n, u, K) for u, rng in cand_rngs.items()]
         self.ranks = ranks
         self.m = m = len(cand_nodes)
         self.K = K
