@@ -252,7 +252,7 @@ def ben_or_consensus(
         faulty_count=(n - 1) // 2 if faulty_count is None else faulty_count,
         delivery=delivery,
         byzantine=byzantine,
-        max_phases=max_phases,
+        options={"max_phases": max_phases},
         collect_trace=collect_trace,
         timers=timers,
     )

@@ -22,14 +22,13 @@ fault hierarchy.
 from .fuzzer import (
     FAST_CONSTANTS,
     PROTOCOLS,
-    SCENARIO_MODES,
     FuzzCase,
     FuzzReport,
-    FuzzScenario,
     classify,
     default_scenarios,
     fuzz,
     fuzz_one,
+    fuzz_scenario,
     replay_case,
     run_scenario,
 )
@@ -53,14 +52,12 @@ __all__ = [
     "FAST_CONSTANTS",
     "FRAGILE_PREFIXES",
     "PROTOCOLS",
-    "SCENARIO_MODES",
     "SCRIPT_VERSION",
     "SUPPORTED_SCRIPT_VERSIONS",
     "CrashScript",
     "DeliveryFilter",
     "FuzzCase",
     "FuzzReport",
-    "FuzzScenario",
     "FuzzedAdversary",
     "GrammarConfig",
     "ShrinkResult",
@@ -71,6 +68,7 @@ __all__ = [
     "downgrade_fragile",
     "fuzz",
     "fuzz_one",
+    "fuzz_scenario",
     "leader_election_oracle",
     "replay_case",
     "run_scenario",

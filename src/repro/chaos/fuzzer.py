@@ -34,9 +34,9 @@ import math
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from ..core.families import FAMILIES, Setup
+from ..core.families import FAMILIES, RunPoint
 from ..errors import ConfigurationError, ReproError
 from ..faults.adversary import Adversary
 from ..obs.progress import ProgressSpec, ensure_progress
@@ -45,7 +45,6 @@ from ..params import Params
 from ..rng import derive_seed
 from ..sim.network import RunResult
 from ..sim.validate import validate_run
-from ..types import Round
 from .grammar import FuzzedAdversary, GrammarConfig, sample_script
 from .oracles import FRAGILE_PREFIXES, downgrade_fragile
 from .script import CrashScript, as_script
@@ -53,95 +52,56 @@ from .script import CrashScript, as_script
 #: The families with a fuzz oracle.
 PROTOCOLS = tuple(name for name, family in FAMILIES.items() if family.oracle)
 
-#: Byzantine modes that make sense per protocol family; the extended
-#: grammar's mode pool is intersected with this, so an agreement trial
-#: never draws a rank forger.
-SCENARIO_MODES: Dict[str, Tuple[str, ...]] = {
-    name: FAMILIES[name].modes for name in PROTOCOLS
-}
-
-#: Protocols designed for bounded-delay delivery: their oracles stay hard
-#: under a delay schedule (everything else is "async"-fragile there).
-DELAY_TOLERANT: Tuple[str, ...] = tuple(
-    name for name in PROTOCOLS if FAMILIES[name].delay_tolerant
-)
-
 #: Reduced sampling constants for high-throughput fuzzing (validated by
 #: the test-suite's fast fixtures: same code paths, ~10x fewer messages).
 FAST_CONSTANTS = dict(candidate_factor=3.0, referee_factor=1.5, iteration_factor=4.0)
 
 
-@dataclass(frozen=True)
-class FuzzScenario:
-    """Everything needed to rebuild one fuzzed run except its schedule."""
+def fuzz_scenario(
+    protocol: str = "election",
+    n: int = 64,
+    alpha: float = 0.5,
+    inputs: Any = None,
+    fast_constants: bool = True,
+    extra_rounds: int = 0,
+) -> RunPoint:
+    """A fuzz scenario: the run point a trial gives its seed and schedule.
 
-    protocol: str
-    n: int = 64
-    alpha: float = 0.5
-    inputs: Union[str, Tuple[int, ...]] = "mixed"
-    fast_constants: bool = True
-    extra_rounds: int = 0
-
-    def __post_init__(self) -> None:
-        if self.protocol not in PROTOCOLS:
-            raise ConfigurationError(
-                f"unknown protocol {self.protocol!r}; choose from {PROTOCOLS}"
-            )
-
-    def params(self) -> Params:
-        constants = FAST_CONSTANTS if self.fast_constants else {}
-        return Params(n=self.n, alpha=self.alpha, **constants)
-
-    def _setup(self) -> Setup:
-        return FAMILIES[self.protocol].setup(
-            self.n,
-            self.alpha,
-            params=self.params(),
-            inputs=self.inputs,
-            extra_rounds=self.extra_rounds,
+    Its constants are :data:`FAST_CONSTANTS` (or the paper's, without
+    ``fast_constants``) for the families that use them.
+    """
+    if protocol not in PROTOCOLS:
+        raise ConfigurationError(
+            f"unknown protocol {protocol!r}; choose from {PROTOCOLS}"
         )
+    constants = FAST_CONSTANTS if fast_constants else {}
+    return RunPoint(
+        protocol, n, alpha, inputs=inputs, extra_rounds=extra_rounds,
+        params=Params(n=n, alpha=alpha, **constants)
+        if FAMILIES[protocol].uses_params else None,
+    )
 
-    def horizon(self) -> Round:
-        # Crash rounds are sampled against the synchronous timetable; a
-        # delayed Ben-Or run stretches past it, which only means the
-        # latest sampled crashes land while it is still running.
-        return self._setup().horizon
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "protocol": self.protocol,
-            "n": self.n,
-            "alpha": self.alpha,
-            "inputs": list(self.inputs)
-            if not isinstance(self.inputs, str)
-            else self.inputs,
-            "fast_constants": self.fast_constants,
-            "extra_rounds": self.extra_rounds,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FuzzScenario":
-        inputs = data.get("inputs", "mixed")
-        if not isinstance(inputs, str):
-            inputs = tuple(int(b) for b in inputs)
-        return cls(
-            protocol=str(data["protocol"]),
-            n=int(data.get("n", 64)),
-            alpha=float(data.get("alpha", 0.5)),
-            inputs=inputs,
-            fast_constants=bool(data.get("fast_constants", True)),
-            extra_rounds=int(data.get("extra_rounds", 0)),
-        )
+#: Version of the case JSON :meth:`FuzzCase.to_dict` writes.  Version 2
+#: held a scenario object, the seed and the script beside each other.
+CASE_VERSION = 3
 
 
 @dataclass
 class FuzzCase:
-    """A reproducer: scenario + seed + schedule (+ observed violations)."""
+    """A reproducer: a run point, whose seed and crash script are the
+    case's, plus the violations it produced."""
 
-    scenario: FuzzScenario
-    seed: int
-    script: CrashScript
+    point: RunPoint
     violations: List[str] = field(default_factory=list)
+
+    @property
+    def seed(self) -> int:
+        return self.point.seed
+
+    @property
+    def script(self) -> CrashScript:
+        return self.point.adversary
 
     @property
     def signature(self) -> Tuple[str, ...]:
@@ -159,21 +119,27 @@ class FuzzCase:
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "version": 2,
-            "scenario": self.scenario.to_dict(),
-            "seed": self.seed,
-            "script": self.script.to_dict(),
+            "version": CASE_VERSION,
+            "point": self.point.to_dict(),
             "violations": list(self.violations),
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FuzzCase":
-        return cls(
-            scenario=FuzzScenario.from_dict(data["scenario"]),
-            seed=int(data["seed"]),
-            script=as_script(data["script"]),
-            violations=[str(v) for v in data.get("violations", [])],
-        )
+        if "scenario" in data:
+            # Version 2 wrote ``"inputs": "mixed"`` for every family; for
+            # one that takes no inputs that value means none.
+            scenario = dict(data["scenario"])
+            protocol = scenario.pop("protocol")
+            if protocol in PROTOCOLS and not FAMILIES[protocol].takes_inputs:
+                if scenario.get("inputs") == "mixed":
+                    del scenario["inputs"]
+            point = fuzz_scenario(protocol, **scenario).with_(
+                seed=int(data["seed"]), adversary=as_script(data["script"])
+            )
+        else:
+            point = RunPoint.from_dict(data["point"])
+        return cls(point, [str(v) for v in data.get("violations", [])])
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
@@ -201,22 +167,23 @@ def classify(violations: Sequence[str]) -> Tuple[str, ...]:
 
 
 def run_scenario(
-    scenario: FuzzScenario, seed: int, adversary: Adversary
+    scenario: RunPoint, seed: int, adversary: Adversary
 ) -> Tuple[List[str], Optional[Any]]:
-    """Run one scenario under ``adversary`` and return (violations, result).
+    """Run ``scenario`` at ``seed`` under ``adversary``; return (violations, result).
 
     Engine exceptions become ``"engine: ..."`` violations (the run has no
     result then); otherwise violations combine the model validator and
     the protocol oracle.
 
     A version-2 :class:`CrashScript` carries its own Byzantine plan and
-    delivery schedule: both are handed to the runner (which swaps the
+    delivery schedule: both are handed to the run (which swaps the
     lying nodes' protocols and configures the network), and oracle
     violations the sampled faults excuse are downgraded to journalled
     findings — consistently here, so replay and shrink classify a case
     exactly as the original fuzz trial did.
     """
-    family = FAMILIES[scenario.protocol]
+    point = scenario.with_(seed=seed, adversary=adversary)
+    family = point.family
     byzantine = None
     delivery = None
     fragile_prefix: Optional[str] = None
@@ -226,20 +193,12 @@ def run_scenario(
             fragile_prefix = "byzantine"
         if not adversary.delivery.is_synchronous:
             delivery = adversary.delivery
+            point = point.with_(max_delay=delivery.max_delay)
             if fragile_prefix is None and not family.delay_tolerant:
                 fragile_prefix = "async"
     try:
         result = family.run(
-            scenario.n,
-            scenario.alpha,
-            seed,
-            adversary,
-            params=scenario.params(),
-            inputs=scenario.inputs,
-            collect_trace=True,
-            extra_rounds=scenario.extra_rounds,
-            delivery=delivery,
-            byzantine=byzantine,
+            point, collect_trace=True, delivery=delivery, byzantine=byzantine
         )
     except ReproError as exc:
         return [f"engine: {type(exc).__name__}: {exc}"], None
@@ -268,30 +227,12 @@ def run_scenario(
 
 def replay_case(case: FuzzCase) -> List[str]:
     """Re-run a recorded case and return the violations it produces now."""
-    violations, _ = run_scenario(case.scenario, case.seed, case.script)
+    violations, _ = run_scenario(case.point, case.seed, case.script)
     return violations
 
 
-def _fuzz_trial(
-    seed: int = 0,
-    scenario: Optional[Mapping[str, Any]] = None,
-    config: Optional[GrammarConfig] = None,
-) -> Optional[Dict[str, Any]]:
-    """Picklable pool-worker trial: one fuzz attempt → failing-case dict.
-
-    The scenario crosses the process boundary as its ``to_dict()`` form
-    and a failing case comes back the same way, so the parent's
-    :class:`FuzzCase` (and its :class:`CrashScript`) is bit-identical to
-    what a serial run would have recorded — ``repro replay`` of a
-    parallel-found failure never depends on ``--jobs``.
-    """
-    assert scenario is not None
-    case = fuzz_one(FuzzScenario.from_dict(scenario), seed, config=config)
-    return None if case is None else case.to_dict()
-
-
 def fuzz_one(
-    scenario: FuzzScenario,
+    scenario: RunPoint,
     seed: int,
     config: Optional[GrammarConfig] = None,
 ) -> Optional[FuzzCase]:
@@ -302,49 +243,37 @@ def fuzz_one(
     eagerly from a seed-derived stream, because Byzantine protocol swaps
     and the delay bound must be fixed before the network exists.  Either
     way the realised script is a pure function of ``(scenario, seed,
-    config)``.
+    config)``.  Crash rounds are sampled against the synchronous
+    timetable; a delayed Ben-Or run stretches past it, which only means
+    the latest sampled crashes land while it is still running.
     """
     if config is not None and config.extended:
-        family = SCENARIO_MODES.get(scenario.protocol, ())
+        # An agreement trial never draws a rank forger: the mode pool is
+        # the configured modes the scenario's family supports.
+        modes = scenario.family.modes
         effective = replace(
             config,
-            byzantine_modes=tuple(
-                mode for mode in config.byzantine_modes if mode in family
-            ),
+            byzantine_modes=tuple(m for m in config.byzantine_modes if m in modes),
         )
         rng = random.Random(derive_seed(seed, "chaos", "script"))
-        script = sample_script(
+        adversary = sample_script(
             rng,
             n=scenario.n,
-            max_faulty=scenario._setup().faulty_count,
+            max_faulty=scenario.fault_budget,
             horizon=scenario.horizon(),
             config=effective,
             label=f"fuzz@{seed}",
         )
-        violations, _ = run_scenario(scenario, seed, script)
-        if not violations:
-            return None
-        return FuzzCase(
-            scenario=scenario,
-            seed=seed,
-            script=script,
-            violations=violations,
+    else:
+        adversary = FuzzedAdversary(
+            horizon=scenario.horizon(), config=config, label=f"fuzz@{seed}"
         )
-    adversary = FuzzedAdversary(
-        horizon=scenario.horizon(),
-        config=config,
-        label=f"fuzz@{seed}",
-    )
     violations, _ = run_scenario(scenario, seed, adversary)
     if not violations:
         return None
-    assert adversary.script is not None
-    return FuzzCase(
-        scenario=scenario,
-        seed=seed,
-        script=adversary.script,
-        violations=violations,
-    )
+    script = adversary if isinstance(adversary, CrashScript) else adversary.script
+    assert script is not None
+    return FuzzCase(scenario.with_(seed=seed, adversary=script), violations)
 
 
 @dataclass
@@ -378,7 +307,7 @@ class FuzzReport:
 
 
 def fuzz(
-    scenarios: Sequence[FuzzScenario],
+    scenarios: Sequence[RunPoint],
     seeds: int = 50,
     master_seed: int = 0,
     budget_seconds: Optional[float] = None,
@@ -430,6 +359,7 @@ def fuzz(
         )
     from ..exec import ResilientExecutor
     from ..parallel import TrialSpec, in_order, resolve_jobs, run_trials
+    from ..parallel.tasks import fuzz_trial
 
     workers = resolve_jobs(jobs)
     report = FuzzReport()
@@ -447,7 +377,7 @@ def fuzz(
         return shrink_case(case) if shrink_failures else case
 
     def journal_trial(
-        scenario: FuzzScenario, trial_seed: int, case: Optional[FuzzCase]
+        scenario: RunPoint, trial_seed: int, case: Optional[FuzzCase]
     ) -> None:
         if journal is None:
             return
@@ -483,17 +413,17 @@ def fuzz(
                 specs.append(
                     TrialSpec(
                         index=len(specs),
-                        task=_fuzz_trial,
+                        task=fuzz_trial,
                         seed=derive_seed(master_seed, "fuzz", scenario.protocol, index),
-                        point={"scenario": scenario.to_dict(), "config": config},
+                        point={"scenario": scenario, "config": config},
                     )
                 )
                 yield specs[-1]
 
     def account(spec: TrialSpec, outcome: Any) -> None:
         scenario = scenarios[spec.index % len(scenarios)]
-        payload = outcome.value if outcome.ok else spec.run()
-        case = None if payload is None else shrink(FuzzCase.from_dict(payload))
+        verdict = outcome.value if outcome.ok else spec.run()
+        case = shrink(FuzzCase.from_dict(verdict["case"])) if verdict["failed"] else None
         report.trials.append((scenario.protocol, spec.seed))
         report.attempted += 1
         if case is not None:
@@ -519,19 +449,17 @@ def default_scenarios(
     alpha: float = 0.5,
     protocols: Sequence[str] = ("election", "agreement"),
     fast_constants: bool = True,
-    inputs: Union[str, Tuple[int, ...]] = "mixed",
-) -> List[FuzzScenario]:
+    inputs: Any = None,
+) -> List[RunPoint]:
     """The standard scenario pair (leader election + agreement).
 
     ``ben_or`` is opt-in (pass it in ``protocols``): it is a baseline,
-    not one of the paper's protocols."""
+    not one of the paper's protocols.  ``inputs`` go to the families
+    that take them."""
     return [
-        FuzzScenario(
-            protocol=protocol,
-            n=n,
-            alpha=alpha,
-            inputs=inputs,
-            fast_constants=fast_constants,
+        fuzz_scenario(
+            protocol, n=n, alpha=alpha, fast_constants=fast_constants,
+            inputs=inputs if FAMILIES[protocol].takes_inputs else None,
         )
         for protocol in protocols
     ]

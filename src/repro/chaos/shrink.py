@@ -139,22 +139,15 @@ def shrink_case(case: FuzzCase, max_evals: int = DEFAULT_MAX_EVALS) -> FuzzCase:
         return case
 
     def still_fails(candidate: CrashScript) -> bool:
-        trial = FuzzCase(
-            scenario=case.scenario, seed=case.seed, script=candidate
-        )
+        trial = FuzzCase(case.point.with_(adversary=candidate))
         return classify(replay_case(trial)) == target
 
     shrunk = shrink_script(
         case.script,
         still_fails,
-        max_round=case.scenario.horizon(),
+        max_round=case.point.horizon(),
         max_evals=max_evals,
     )
-    minimised = FuzzCase(
-        scenario=case.scenario,
-        seed=case.seed,
-        script=shrunk.script,
-        violations=[],
-    )
+    minimised = FuzzCase(case.point.with_(adversary=shrunk.script))
     minimised.violations = replay_case(minimised)
     return minimised

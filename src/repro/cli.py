@@ -82,8 +82,8 @@ import threading
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .analysis.tables import format_table
-from .core.families import FAMILIES
-from .core.runner import agree, elect_leader
+from .core.families import FAMILIES, RunPoint
+from .core.runner import BACKENDS
 from .experiments.registry import all_experiments, get_experiment
 from .params import Params
 
@@ -203,7 +203,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from .chaos import FuzzScenario, fuzz
+    from .chaos import fuzz, fuzz_scenario
 
     if args.protocol == "both":
         protocols = ("election", "agreement")
@@ -212,8 +212,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     else:
         protocols = (args.protocol,)
     scenarios = [
-        FuzzScenario(protocol=protocol, n=args.n, alpha=args.alpha)
-        for protocol in protocols
+        fuzz_scenario(protocol, n=args.n, alpha=args.alpha) for protocol in protocols
     ]
     byzantine_modes: tuple = ()
     if args.byzantine:
@@ -269,13 +268,13 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         f" {len(report.findings)} fragile finding(s)"
     )
     for case in report.failures:
-        print(f"  seed={case.seed} protocol={case.scenario.protocol}"
+        print(f"  seed={case.seed} protocol={case.point.protocol}"
               f" signature={'/'.join(case.signature)}")
         for violation in case.violations:
             print(f"    {violation}")
     for case in report.findings:
         print(f"  [finding] seed={case.seed}"
-              f" protocol={case.scenario.protocol}"
+              f" protocol={case.point.protocol}"
               f" signature={'/'.join(case.signature)}"
               f" script={case.script.name()}")
     recorded = report.failures + report.findings
@@ -290,31 +289,27 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    from .chaos import CrashScript, FuzzCase, FuzzScenario, run_scenario
+    from .chaos import CrashScript, FuzzCase, fuzz_scenario, replay_case
 
     with open(args.script) as handle:
         data = json.load(handle)
     if isinstance(data, list):
         # Output of ``repro fuzz --out``: a list of failing cases.
         cases = [FuzzCase.from_dict(entry) for entry in data]
-    elif "scenario" in data:
+    elif "point" in data or "scenario" in data:
         cases = [FuzzCase.from_dict(data)]
     else:
-        # A bare CrashScript: scenario parameters come from the flags.
-        scenario = FuzzScenario(protocol=args.protocol, n=args.n, alpha=args.alpha)
+        # A bare CrashScript: the run point comes from the flags.
+        scenario = fuzz_scenario(args.protocol, n=args.n, alpha=args.alpha)
         cases = [
-            FuzzCase(
-                scenario=scenario,
-                seed=args.seed,
-                script=CrashScript.from_dict(data),
-            )
+            FuzzCase(scenario.with_(seed=args.seed, adversary=CrashScript.from_dict(data)))
         ]
     exit_code = 0
     for case in cases:
-        violations, _ = run_scenario(case.scenario, case.seed, case.script)
+        violations = replay_case(case)
         status = "CLEAN" if not violations else "VIOLATION"
         print(
-            f"[{status}] protocol={case.scenario.protocol} seed={case.seed}"
+            f"[{status}] protocol={case.point.protocol} seed={case.seed}"
             f" script={case.script.label or '<unnamed>'}"
         )
         for violation in violations:
@@ -440,28 +435,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if result.complete and passed else 1
 
 
-def _cmd_elect(args: argparse.Namespace) -> int:
-    result = elect_leader(
-        n=args.n,
-        alpha=args.alpha,
-        seed=args.seed,
-        adversary=args.adversary,
-        backend=args.backend,
-    )
-    print(format_table([result.summary()], title="leader election"))
-    return 0 if result.success else 1
-
-
-def _cmd_agree(args: argparse.Namespace) -> int:
-    result = agree(
-        n=args.n,
-        alpha=args.alpha,
-        inputs=args.inputs,
-        seed=args.seed,
-        adversary=args.adversary,
-        backend=args.backend,
-    )
-    print(format_table([result.summary()], title="agreement"))
+def _cmd_point(args: argparse.Namespace) -> int:
+    """``elect``/``agree``: run the command's point once, print its summary."""
+    point = _point(args)
+    result = point.family.run(point)
+    print(format_table([result.summary()], title=args.title))
     return 0 if result.success else 1
 
 
@@ -617,22 +595,13 @@ def _cmd_wire_run(args: argparse.Namespace) -> int:
     if args.script:
         with open(args.script) as handle:
             script = CrashScript.from_dict(json.load(handle))
-    kwargs: Dict[str, Any] = {
-        "protocol": args.protocol,
-        "n": args.n,
-        "alpha": args.alpha,
-        "seed": args.seed,
-        "script": script,
-        "heartbeat_interval": args.heartbeat_interval,
-        "suspicion_threshold": args.suspicion_threshold,
-        "round_timeout": args.round_timeout,
-        "trial_timeout": args.trial_timeout,
-    }
-    if FAMILIES[args.protocol].takes_inputs:
-        kwargs["inputs"] = args.inputs
-    if getattr(args, "faulty_count", None) is not None:
-        kwargs["faulty_count"] = args.faulty_count
-    spec = WireSpec(**kwargs)
+    spec = WireSpec(
+        _point(args, adversary=script or "none"),
+        heartbeat_interval=args.heartbeat_interval,
+        suspicion_threshold=args.suspicion_threshold,
+        round_timeout=args.round_timeout,
+        trial_timeout=args.trial_timeout,
+    )
     if args.backend == "loopback":
         result = run_loopback_trial(spec)
     else:
@@ -646,7 +615,7 @@ def _cmd_wire_run(args: argparse.Namespace) -> int:
     summary = dict(result.metrics.summary())
     summary["backend"] = result.backend
     summary["success"] = result.outcome["success"]
-    print(format_table([summary], title=f"wire {spec.protocol} (n={spec.n})"))
+    print(format_table([summary], title=f"wire {spec.point.protocol} (n={spec.point.n})"))
     if result.journal_dir:
         print(f"journals: {result.journal_dir}")
     return 0 if result.outcome["success"] else 1
@@ -674,8 +643,8 @@ def _cmd_wire_parity(args: argparse.Namespace) -> int:
     for report in reports:
         rows.append(
             {
-                "protocol": report.spec.protocol,
-                "n": report.spec.n,
+                "protocol": report.spec.point.protocol,
+                "n": report.spec.point.n,
                 "mode": "scripted" if report.spec.script else "fault-free",
                 "backend": report.backend,
                 "parity": "OK" if report.ok else "MISMATCH",
@@ -690,7 +659,7 @@ def _cmd_wire_parity(args: argparse.Namespace) -> int:
     failed = [report for report in reports if not report.ok]
     for report in failed:
         where = (
-            f"{report.spec.protocol} n={report.spec.n} "
+            f"{report.spec.point.protocol} n={report.spec.point.n} "
             f"{'scripted' if report.spec.script else 'fault-free'}"
         )
         for diff in report.diffs:
@@ -759,8 +728,44 @@ def _add_campaign_flags(
         parser.add_argument(flag, **{**_CAMPAIGN_FLAGS[flag], **changes})
 
 
+#: The run-point flags, declared once as :class:`RunPoint` fields: the
+#: ``elect``, ``agree``, ``fuzz``, ``replay`` and ``wire`` commands each
+#: add the fields their point takes, with their own defaults.
+_POINT_FLAGS: Dict[str, Dict[str, Any]] = {
+    "n": {"type": int, "help": "network size"},
+    "alpha": {"type": float, "help": "fraction of non-faulty nodes"},
+    "seed": {"type": int, "help": "seed (a campaign's master seed)"},
+    "inputs": {"help": "input bits pattern: all0, all1, mixed, single0, single1"},
+    "adversary": {"help": "crash adversary (none/eager/lazy/random/staggered/split/adaptive)"},
+    "faulty_count": {
+        "type": int,
+        "help": "static faulty-set size (flooding: f, rounds = f + 1); "
+        "default: the family's budget, or the script's faulty set size",
+    },
+    "backend": {
+        "choices": BACKENDS,
+        "help": "engine backend: reference per-node engine, or the numpy "
+        "vectorized engine (identical results; needs repro[perf])",
+    },
+}
+
+
+def _add_point_flags(parser: argparse.ArgumentParser, **defaults: Any) -> None:
+    """Add the :data:`_POINT_FLAGS` named by ``defaults``, with those
+    defaults; :func:`_point` reads them back as a run point."""
+    for name, default in defaults.items():
+        flag = "--" + name.replace("_", "-")
+        parser.add_argument(flag, default=default, **_POINT_FLAGS[name])
+    parser.set_defaults(point_fields=tuple(defaults))
+
+
+def _point(args: argparse.Namespace, **fields: Any) -> RunPoint:
+    """The run point of the command's protocol and point flags."""
+    values = {name: getattr(args, name) for name in args.point_fields}
+    return RunPoint(args.protocol, **values, **fields)
+
+
 def _add_wire_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--heartbeat-interval",
         type=float,
@@ -865,10 +870,8 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_cmd = sub.add_parser(
         "fuzz", help="fuzz random crash schedules against the safety oracles"
     )
-    fuzz_cmd.add_argument("--n", type=int, default=64)
-    fuzz_cmd.add_argument("--alpha", type=float, default=0.5)
+    _add_point_flags(fuzz_cmd, n=64, alpha=0.5, seed=0)
     fuzz_cmd.add_argument("--seeds", type=int, default=50, help="trials per protocol")
-    fuzz_cmd.add_argument("--seed", type=int, default=0, help="master seed")
     fuzz_cmd.add_argument(
         "--protocol",
         choices=_families("oracle") + ("both", "all"),
@@ -916,39 +919,20 @@ def build_parser() -> argparse.ArgumentParser:
         default="election",
         help="protocol for bare scripts (full cases carry their own scenario)",
     )
-    replay.add_argument("--n", type=int, default=64, help="n for bare scripts")
-    replay.add_argument("--alpha", type=float, default=0.5, help="alpha for bare scripts")
-    replay.add_argument("--seed", type=int, default=0, help="seed for bare scripts")
+    # Point flags for bare scripts (full cases carry their own point).
+    _add_point_flags(replay, n=64, alpha=0.5, seed=0)
     replay.set_defaults(func=_cmd_replay)
 
-    elect = sub.add_parser("elect", help="one leader-election run")
-    elect.add_argument("--n", type=int, default=512)
-    elect.add_argument("--alpha", type=float, default=0.5)
-    elect.add_argument("--seed", type=int, default=0)
-    elect.add_argument("--adversary", default="random")
-    elect.add_argument(
-        "--backend",
-        choices=("ref", "vec"),
-        default="ref",
-        help="engine backend: reference per-node engine, or the numpy "
-        "vectorized engine (identical results; needs repro[perf])",
-    )
-    elect.set_defaults(func=_cmd_elect)
-
-    agree_cmd = sub.add_parser("agree", help="one agreement run")
-    agree_cmd.add_argument("--n", type=int, default=512)
-    agree_cmd.add_argument("--alpha", type=float, default=0.5)
-    agree_cmd.add_argument("--seed", type=int, default=0)
-    agree_cmd.add_argument("--inputs", default="mixed")
-    agree_cmd.add_argument("--adversary", default="random")
-    agree_cmd.add_argument(
-        "--backend",
-        choices=("ref", "vec"),
-        default="ref",
-        help="engine backend: reference per-node engine, or the numpy "
-        "vectorized engine (identical results; needs repro[perf])",
-    )
-    agree_cmd.set_defaults(func=_cmd_agree)
+    for name, protocol, title, inputs in (
+        ("elect", "election", "leader election", {}),
+        ("agree", "agreement", "agreement", {"inputs": "mixed"}),
+    ):
+        point_cmd = sub.add_parser(name, help=f"one {title} run")
+        _add_point_flags(
+            point_cmd, n=512, alpha=0.5, seed=0, **inputs, adversary="random",
+            backend="ref",
+        )
+        point_cmd.set_defaults(func=_cmd_point, protocol=protocol, title=title)
 
     params_cmd = sub.add_parser("params", help="show derived parameters")
     params_cmd.add_argument("--n", type=int, required=True)
@@ -1092,18 +1076,11 @@ def build_parser() -> argparse.ArgumentParser:
         ("flood", "flooding", "flooding baseline over TCP node processes"),
     ):
         wire_run = wire_sub.add_parser(name, help=help_text)
-        wire_run.add_argument("--n", type=int, default=8)
-        wire_run.add_argument("--alpha", type=float, default=0.75)
-        if FAMILIES[protocol].takes_inputs:
-            wire_run.add_argument("--inputs", default="mixed")
-        if name == "flood":
-            wire_run.add_argument(
-                "--faulty-count",
-                type=int,
-                default=None,
-                help="fault budget f (rounds = f + 1); default: the "
-                "script's faulty set size",
-            )
+        _add_point_flags(
+            wire_run, n=8, alpha=0.75, seed=0,
+            **({"inputs": "mixed"} if FAMILIES[protocol].takes_inputs else {}),
+            **({"faulty_count": None} if name == "flood" else {}),
+        )
         wire_run.add_argument(
             "--script",
             default=None,
@@ -1147,6 +1124,7 @@ def build_parser() -> argparse.ArgumentParser:
     wire_parity.add_argument(
         "--out", default=None, help="write the full parity reports as JSON"
     )
+    _add_point_flags(wire_parity, seed=0)
     _add_wire_common(wire_parity)
     wire_parity.set_defaults(func=_cmd_wire_parity)
     return parser

@@ -5,9 +5,11 @@ implicit agreement (Sec. V-A), and the two baselines that campaigns run
 by name, flooding consensus (Table I) and Ben-Or (E14), each get one
 frozen :class:`Family` row in :data:`FAMILIES`.  A row says how its
 family is built, run (:meth:`Family.run`, through the shared
-:func:`repro.core.runner._run`) and judged.  The wire spec, the fuzzer,
-the trial tasks, the campaign service and the CLI look rows up instead
-of branching on the family's name.
+:func:`repro.core.runner._run`) and judged.  One run of a family is a
+:class:`RunPoint`, validated once against its row.  The wire spec, the
+fuzzer, the trial tasks, the campaign service and the CLI describe their
+runs as points and look rows up instead of branching on the family's
+name.
 
 Adding a family is one row plus its node class (see ``DESIGN.md``).
 Rows import the baselines, the chaos layer and the vec engine lazily.
@@ -16,20 +18,23 @@ Rows import the baselines, the chaos layer and the vec engine lazily.
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from types import ModuleType, SimpleNamespace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..errors import ConfigurationError
 from ..faults.adversary import Adversary
 from ..faults.byzantine import AGREEMENT_MODES, ELECTION_MODES, ProtocolFactory
 from ..params import Params
-from ..sim.delivery import DeliverySchedule
+from ..sim.delivery import DeliverySchedule, UniformDelay
 from ..sim.network import RunResult
 from ..types import Decision, Knowledge, NodeId, NodeState
 from .agreement import AgreementProtocol
 from .leader_election import LeaderElectionProtocol
 from .runner import (
+    BACKENDS,
     AdversarySpec,
     _evaluate_agreement,
     _evaluate_leader_election,
@@ -40,49 +45,32 @@ from .schedule import AgreementSchedule, LeaderElectionSchedule
 
 
 @dataclass(frozen=True)
-class Setup:
-    """One run's family pieces, fixed before its network exists."""
-
-    n: int
-    seed: int
-    params: Optional[Params]
-    #: Input bits or a named pattern (``None`` for election).
-    pattern: Any
-    faulty_count: int
-    #: A paper schedule, Ben-Or's ``(max_delay, max_phases)``, or ``None``.
-    schedule: Any
-    horizon: int
-
-    @cached_property
-    def inputs(self) -> Optional[List[int]]:
-        """The input bits, drawn on first use."""
-        if self.pattern is None:
-            return None
-        return make_inputs(self.n, self.pattern, self.seed)
-
-
-@dataclass(frozen=True)
 class Family:
-    """How one protocol family is built, run and judged."""
+    """How one protocol family is built, run and judged.
+
+    The callables that take a point read the resolved views of a
+    :class:`RunPoint` (``params``, ``schedule``, ``fault_budget``,
+    ``input_bits``, ``horizon()``).
+    """
 
     name: str
     #: ``(n, alpha, params, scripted faulty set)`` -> default fault budget.
     budget: Callable[[int, Optional[float], Optional[Params], Sequence[NodeId]], int]
-    #: ``(params, max_delay, **options)`` -> the setup's ``schedule``.
+    #: ``(params, max_delay, **options)`` -> the point's ``schedule``.
     schedule: Callable[..., Any]
-    #: Nominal horizon of a setup (``extra_rounds`` come on top).
-    horizon: Callable[[Setup], int]
-    nodes: Callable[[Setup], ProtocolFactory]
-    #: ``(run, setup, adversary)`` -> the family's result object.
-    evaluate: Callable[[RunResult, Setup, Adversary], Any]
-    #: Runs build the paper's :class:`~repro.params.Params` when given none.
+    #: Nominal horizon of a point (``extra_rounds`` come on top).
+    horizon: Callable[["RunPoint"], int]
+    nodes: Callable[["RunPoint"], ProtocolFactory]
+    #: ``(run, point, adversary)`` -> the family's result object.
+    evaluate: Callable[[RunResult, "RunPoint", Adversary], Any]
+    #: Points get the paper's :class:`~repro.params.Params` when given none.
     uses_params: bool = True
     takes_inputs: bool = True
     knowledge: Knowledge = Knowledge.KT0
-    #: ``(repro.sim.vec, setup, adversary, faulty_count)`` -> vec run.
-    vec: Optional[Callable[[ModuleType, Setup, Adversary, int], RunResult]] = None
-    #: ``(repro.faults.byzantine, setup)`` -> attacker constructor by mode.
-    attackers: Optional[Callable[[ModuleType, Setup], Mapping[str, ProtocolFactory]]] = None
+    #: ``(repro.sim.vec, point, adversary, faulty_count)`` -> vec run.
+    vec: Optional[Callable[[ModuleType, "RunPoint", Adversary, int], RunResult]] = None
+    #: ``(repro.faults.byzantine, point)`` -> attacker constructor by mode.
+    attackers: Optional[Callable[[ModuleType, "RunPoint"], Mapping[str, ProtocolFactory]]] = None
     #: Byzantine modes a fuzzed plan may assign.
     modes: Tuple[str, ...] = ()
     #: Its oracles stay hard under bounded-delay delivery.
@@ -96,76 +84,198 @@ class Family:
     #: ``module:qualname`` of the campaign trial task.
     task: Optional[str] = None
 
-    def setup(
-        self,
-        n: int,
-        alpha: Optional[float] = None,
-        *,
-        params: Optional[Params] = None,
-        inputs: Any = "mixed",
-        seed: int = 0,
-        faulty_count: Optional[int] = None,
-        extra_rounds: int = 0,
-        max_delay: int = 0,
-        scripted: Sequence[NodeId] = (),
-        **options: Any,
-    ) -> Setup:
-        """Fix one run's pieces; ``options`` go to the family's ``schedule``."""
-        if params is None and self.uses_params:
-            params = Params(n=n, alpha=alpha)  # type: ignore[arg-type]
-        if faulty_count is None:
-            faulty_count = self.budget(n, alpha, params, scripted)
-        setup = Setup(
-            n=n, seed=seed, params=params,
-            pattern=inputs if self.takes_inputs else None,
-            faulty_count=faulty_count,
-            schedule=self.schedule(params, max_delay, **options), horizon=0,
-        )
-        return replace(setup, horizon=self.horizon(setup) + extra_rounds)
-
     def run(
         self,
-        n: int,
-        alpha: Optional[float] = None,
-        seed: int = 0,
-        adversary: AdversarySpec = "random",
-        *,
-        backend: str = "ref",
+        point: Any,
+        *fields: Any,
         byzantine: Any = None,
         delivery: Optional[DeliverySchedule] = None,
         collect_trace: bool = False,
         message_budget: Optional[int] = None,
         timers: Any = None,
-        **settings: Any,
+        **named: Any,
     ) -> Any:
-        """Run the family once and evaluate it.
+        """Run ``point`` once and evaluate it.
 
-        Parameters are :func:`~repro.core.runner.elect_leader`'s; the
-        rest (``params``, ``inputs``, ``faulty_count``, ``extra_rounds``,
-        family options) go to :meth:`setup`.
+        ``point`` is a :class:`RunPoint` of this family, or the first of
+        its fields after ``protocol`` (``n, alpha, seed, adversary``,
+        then keywords).  The keywords here are engine options, not part
+        of a point: a Byzantine plan, a delivery schedule (default: the
+        point's ``max_delay`` as :class:`~repro.sim.delivery.UniformDelay`
+        salted with its seed), a trace, a message cap and phase timers.
         """
-        setup = self.setup(
-            n, alpha, seed=seed,
-            max_delay=delivery.max_delay if delivery is not None else 0,
-            **settings,
-        )
+        if not isinstance(point, RunPoint):
+            named.setdefault("max_delay", 0 if delivery is None else delivery.max_delay)
+            point = RunPoint(self.name, point, *fields, **named)
+        elif fields or named:
+            raise TypeError("a RunPoint takes no further point fields")
+        if point.protocol != self.name:
+            raise ConfigurationError(f"a {point.protocol} point run as {self.name}")
+        if delivery is None and point.max_delay:
+            delivery = UniformDelay(point.max_delay, salt=point.seed)
+        if delivery is not None and delivery.max_delay != point.max_delay:
+            raise ConfigurationError(
+                f"a delay-{delivery.max_delay} schedule for a point with "
+                f"max_delay={point.max_delay}"
+            )
         vec, attackers = self.vec, self.attackers
         run, resolved = _run(
-            n, setup.params, seed, adversary, setup.faulty_count,
-            self.nodes(setup), setup.horizon, setup.inputs,
-            backend=backend,
+            point.n, point.params, point.seed, point.adversary, point.fault_budget,
+            self.nodes(point), point.horizon(), point.input_bits,
+            backend=point.backend,
             vec_run=None if vec is None else (
-                lambda module, adv, f: vec(module, setup, adv, f)
+                lambda module, adv, f: vec(module, point, adv, f)
             ),
             byzantine=byzantine,
             attackers=None if attackers is None else (
-                lambda byz: attackers(byz, setup)
+                lambda byz: attackers(byz, point)
             ),
             knowledge=self.knowledge,
             collect_trace=collect_trace, message_budget=message_budget,
             timers=timers, delivery=delivery,
         )
-        return self.evaluate(run, setup, resolved)
+        return self.evaluate(run, point, resolved)
+
+
+@dataclass(frozen=True)
+class RunPoint:
+    """One run of a protocol family: everything that fixes its outcome.
+
+    The point validates itself on construction and resolves its fault
+    budget, schedule, horizon and input bits once, through its family's
+    row.  :meth:`Family.run` executes it; engine options (trace, timers,
+    message cap, Byzantine plan) are run keywords, not point fields.
+    Only JSON-safe points (a named adversary or a crash script) have a
+    :meth:`to_dict` form.
+    """
+
+    protocol: str
+    n: int
+    alpha: Optional[float] = None
+    seed: int = 0
+    #: A strategy name, an :class:`~repro.faults.Adversary`, or a
+    #: :class:`~repro.chaos.CrashScript`.
+    adversary: AdversarySpec = "none"
+    #: Input bits or a named pattern; ``None`` is ``"mixed"`` for a family
+    #: that takes inputs, and the only value for one that does not.
+    inputs: Any = None
+    #: Size of the static faulty set (``None``: the family's budget).
+    faulty_count: Optional[int] = None
+    extra_rounds: int = 0
+    #: Sampling constants (``None``: the paper's, for families using them).
+    params: Optional[Params] = None
+    #: Delivery-delay bound; the run draws ``UniformDelay(max_delay, salt=seed)``.
+    max_delay: int = 0
+    backend: str = "ref"
+    #: Family options for its schedule (Ben-Or's ``max_phases``).
+    options: Tuple[Tuple[str, Any], ...] = ()
+
+    def __post_init__(self) -> None:
+        family = FAMILIES.get(self.protocol)
+        if family is None:
+            raise ConfigurationError(
+                f"unknown protocol {self.protocol!r}; choose from {tuple(FAMILIES)}"
+            )
+        if self.backend not in BACKENDS:
+            raise ConfigurationError(
+                f"unknown backend {self.backend!r}; choose from {BACKENDS}"
+            )
+        inputs = self.inputs
+        if not family.takes_inputs:
+            if inputs is not None:
+                raise ConfigurationError(f"{self.protocol} takes no inputs")
+        elif inputs is None:
+            inputs = "mixed"
+        elif not isinstance(inputs, str):
+            inputs = tuple(int(bit) for bit in inputs)
+        params = self.params
+        if params is None and family.uses_params:
+            params = Params(n=self.n, alpha=self.alpha)  # type: ignore[arg-type]
+        if params is not None and params.n != self.n:
+            raise ConfigurationError(
+                f"params are for n={params.n}, but the run has n={self.n} nodes"
+            )
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "options", tuple(sorted(dict(self.options).items())))
+
+    @property
+    def family(self) -> Family:
+        return FAMILIES[self.protocol]
+
+    @property
+    def script(self) -> Any:
+        """The adversary when it is a crash script, else ``None``."""
+        # A script's module is loaded once a script exists: no import here.
+        scripts = sys.modules.get(f"{__package__.rpartition('.')[0]}.chaos.script")
+        kind = getattr(scripts, "CrashScript", ())
+        return self.adversary if isinstance(self.adversary, kind) else None
+
+    @cached_property
+    def fault_budget(self) -> int:
+        """The static faulty-set size the run uses."""
+        if self.faulty_count is not None:
+            return self.faulty_count
+        scripted = self.script.faulty if self.script is not None else ()
+        return self.family.budget(self.n, self.alpha, self.params, scripted)
+
+    @cached_property
+    def schedule(self) -> Any:
+        """A paper schedule, Ben-Or's ``(max_delay, max_phases)``, or ``None``."""
+        return self.family.schedule(self.params, self.max_delay, **dict(self.options))
+
+    @cached_property
+    def input_bits(self) -> Optional[List[int]]:
+        """The input bits (``None`` for a family without inputs)."""
+        if self.inputs is None:
+            return None
+        return make_inputs(self.n, self.inputs, self.seed)
+
+    def horizon(self) -> int:
+        """The rounds the run requests: the family's, plus ``extra_rounds``."""
+        return self.family.horizon(self) + self.extra_rounds
+
+    def with_(self, **changes: Any) -> "RunPoint":
+        """Copy with fields replaced."""
+        return replace(self, **changes)
+
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON form: the fields through ``extra_rounds``, then the
+        ``Params`` constants, the crash script and the other fields where
+        they differ from the defaults."""
+        data = {name: getattr(self, name) for name in _ALWAYS_WRITTEN}
+        constants = {
+            f.name: getattr(self.params, f.name)
+            for f in fields(Params)[2:]
+            if self.params is not None and getattr(self.params, f.name) != f.default
+        }
+        if constants:
+            data["constants"] = constants
+        if self.script is not None:
+            data["script"] = self.script.to_dict()
+        for name in ("adversary", "max_delay", "backend", "options"):
+            value = getattr(self, name)
+            if value != _DEFAULTS[name] and value is not self.script:
+                data[name] = value
+        return data
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "RunPoint":
+        """Inverse of :meth:`to_dict`."""
+        values = dict(data)
+        script = values.pop("script", None)
+        if script is not None:
+            from ..chaos.script import as_script
+
+            values["adversary"] = as_script(script)
+        constants = values.pop("constants", None)
+        if constants:
+            values["params"] = Params(n=values["n"], alpha=values["alpha"], **constants)
+        return cls(**values)
+
+
+_DEFAULTS = {f.name: f.default for f in fields(RunPoint)}
+_ALWAYS_WRITTEN = ("protocol", "n", "alpha", "seed", "inputs", "faulty_count", "extra_rounds")
 
 
 def _paper_budget(
@@ -206,16 +316,16 @@ def _ben_or_oracle(outcome: Any) -> List[str]:
     )
 
 
-def _consensus(label: str, honest_only: bool) -> Callable[[RunResult, Setup, Adversary], Any]:
+def _consensus(label: str, honest_only: bool) -> Callable[[RunResult, RunPoint, Adversary], Any]:
     """A baseline's evaluator: explicit agreement over the alive nodes
     (the alive honest ones, when faulty nodes may lie)."""
 
-    def evaluate(run: RunResult, s: Setup, adversary: Adversary) -> Any:
+    def evaluate(run: RunResult, s: RunPoint, adversary: Adversary) -> Any:
         from ..baselines.base import BaselineOutcome, evaluate_explicit_agreement
 
         outcome = BaselineOutcome(
             protocol=label, n=run.n, faulty=run.faulty, crashed=run.crashed,
-            metrics=run.metrics, inputs=s.inputs, trace=run.trace,
+            metrics=run.metrics, inputs=s.input_bits, trace=run.trace,
             max_delay=run.max_delay,
         )
         for u in run.alive:
@@ -244,7 +354,7 @@ FAMILIES: Dict[str, Family] = {
             ),
             takes_inputs=False,
             vec=lambda vec, s, adversary, f: vec.run_election_vec(
-                s.params, s.schedule, s.seed, adversary, f, s.horizon
+                s.params, s.schedule, s.seed, adversary, f, s.horizon()
             ),
             attackers=lambda byz, s: byz.election_attackers(s.params, s.schedule),
             modes=ELECTION_MODES,
@@ -266,16 +376,16 @@ FAMILIES: Dict[str, Family] = {
             schedule=lambda params, max_delay: AgreementSchedule.from_params(params),
             horizon=lambda s: s.schedule.last_round,
             nodes=lambda s: lambda u: AgreementProtocol(
-                u, s.params, s.schedule, s.inputs[u]
+                u, s.params, s.schedule, s.input_bits[u]
             ),
             evaluate=lambda run, s, adversary: _evaluate_agreement(
-                run, s.params, s.seed, adversary, s.inputs
+                run, s.params, s.seed, adversary, s.input_bits
             ),
             vec=lambda vec, s, adversary, f: vec.run_agreement_vec(
-                s.params, s.schedule, s.seed, adversary, f, s.inputs, s.horizon
+                s.params, s.schedule, s.seed, adversary, f, s.input_bits, s.horizon()
             ),
             attackers=lambda byz, s: byz.agreement_attackers(
-                s.params, s.schedule, s.inputs
+                s.params, s.schedule, s.input_bits
             ),
             modes=AGREEMENT_MODES,
             outputs=(("is_candidate", bool), ("decision", Decision)),
@@ -292,15 +402,15 @@ FAMILIES: Dict[str, Family] = {
             budget=lambda n, alpha, params, scripted: len(scripted),
             schedule=lambda params, max_delay: None,
             # f + 1 protocol rounds, run for two extra delivery rounds.
-            horizon=lambda s: s.faulty_count + 3,
+            horizon=lambda s: s.fault_budget + 3,
             nodes=lambda s: lambda u: _baseline("flooding").FloodingConsensusProtocol(
-                u, s.n, s.inputs[u], s.faulty_count + 1
+                u, s.n, s.input_bits[u], s.fault_budget + 1
             ),
             evaluate=_consensus("flooding", honest_only=False),
             uses_params=False,
             knowledge=Knowledge.KT1,
             vec=lambda vec, s, adversary, f: vec.run_flooding_vec(
-                s.n, s.inputs, s.seed, adversary, f, s.faulty_count + 1, s.horizon
+                s.n, s.input_bits, s.seed, adversary, f, s.fault_budget + 1, s.horizon()
             ),
             outputs=(("decided", int), ("estimate", int)),
             outcome=("success", "decisions", "crashed", "faulty"),
@@ -314,7 +424,7 @@ FAMILIES: Dict[str, Family] = {
             schedule=_ben_or_timetable,
             horizon=lambda s: _baseline("ben_or").ben_or_horizon(*s.schedule),
             nodes=lambda s: lambda u: _baseline("ben_or").BenOrProtocol(
-                u, s.n, s.inputs[u], s.faulty_count, *s.schedule
+                u, s.n, s.input_bits[u], s.fault_budget, *s.schedule
             ),
             evaluate=_consensus("ben-or", honest_only=True),
             uses_params=False,

@@ -151,10 +151,6 @@ def _run(
     if faulty_count is None:
         assert params is not None
         faulty_count = params.max_faulty
-    if backend not in BACKENDS:
-        raise ConfigurationError(
-            f"unknown backend {backend!r}; choose from {BACKENDS}"
-        )
     if backend == "vec" and vec_run is not None:
         from ..sim import vec
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..analysis.stats import BernoulliSummary, summarize_trials
+from ..core.families import FAMILIES, RunPoint
 from ..core.results import AgreementResult, LeaderElectionResult
 from ..core.runner import AdversarySpec, agree, elect_leader
 from ..rng import seed_sequence
@@ -73,39 +74,37 @@ def budget_curve(
     sweep around the protocol's actual spend (its constants exceed the
     bound's hidden constant by a large factor).
 
-    ``problem`` is ``"election"`` or ``"agreement"``.  For agreement the
-    success notion counted here is the *informed* one: the run must reach
-    implicit agreement **and** the decision must be the value the
-    uncapped protocol converges to (the zero-biased minimum over
-    candidate inputs); otherwise budget-zero runs would trivially
+    ``problem`` is a family that uses the paper's parameters
+    (``"election"`` or ``"agreement"``).  For a family with inputs
+    (agreement) the success notion counted here is the *informed* one:
+    the run must reach implicit agreement **and** the decision must be
+    the value the uncapped protocol converges to (the zero-biased minimum
+    over candidate inputs); otherwise budget-zero runs would trivially
     "succeed" by every candidate deciding its own input when all inputs
     agree by luck.
     """
-    if problem not in ("election", "agreement"):
-        raise ValueError(f"problem must be election|agreement, got {problem!r}")
+    family = FAMILIES.get(problem)
+    if family is None or not family.uses_params:
+        paper = tuple(name for name, row in FAMILIES.items() if row.uses_params)
+        raise ValueError(f"problem must be one of {paper}, got {problem!r}")
+    succeeded = _informed_agreement_success if family.takes_inputs else _success
     scale = unit if unit is not None else lower_bound_messages(n, alpha)
     curve: Dict[float, BernoulliSummary] = {}
     for multiplier in multipliers:
         budget = max(0, int(multiplier * scale))
         outcomes: List[bool] = []
         for trial_seed in seed_sequence(master_seed, trials):
-            if problem == "election":
-                result = run_budgeted_election(
-                    n, alpha, budget, seed=trial_seed, adversary=adversary
-                )
-                outcomes.append(result.success)
-            else:
-                result = run_budgeted_agreement(
-                    n,
-                    alpha,
-                    budget,
-                    seed=trial_seed,
-                    adversary=adversary,
-                    inputs=inputs,
-                )
-                outcomes.append(_informed_agreement_success(result))
+            point = RunPoint(
+                problem, n, alpha, trial_seed, adversary,
+                inputs=inputs if family.takes_inputs else None,
+            )
+            outcomes.append(succeeded(family.run(point, message_budget=budget)))
         curve[multiplier] = summarize_trials(outcomes)
     return curve
+
+
+def _success(result: LeaderElectionResult) -> bool:
+    return result.success
 
 
 def _informed_agreement_success(result: AgreementResult) -> bool:

@@ -148,7 +148,7 @@ def run_wire_trial(
     server_socket = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     server_socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     server_socket.bind((spec.host, 0))
-    server_socket.listen(spec.n)
+    server_socket.listen(spec.point.n)
     coord = f"{spec.host}:{server_socket.getsockname()[1]}"
 
     events: List[Dict[str, Any]] = []
@@ -169,7 +169,7 @@ def run_wire_trial(
         journal_dir=str(journal_path),
     )
     try:
-        for u in range(spec.n):
+        for u in range(spec.point.n):
             proc, log = _spawn_node(u, spec_json, coord, journal_path)
             procs[u] = proc
             logs.append(log)
@@ -240,17 +240,17 @@ def run_loopback_trial(spec: WireSpec) -> WireTrialResult:
     inconsistencies (there is no journal to fail into)."""
     spec.validate()
     plan = WireFaultPlan.from_script(spec.script)
-    accountant = RoundAccountant(spec.n, plan)
-    runtimes = {u: spec.make_runtime(u) for u in range(spec.n)}
+    accountant = RoundAccountant(spec.point.n, plan)
+    runtimes = {u: spec.make_runtime(u) for u in range(spec.point.n)}
     outputs: Dict[int, Dict[str, Any]] = {}
     # mail[u]: data frames deposited for u's next round, as (src, Message).
-    mail: Dict[int, List[Any]] = {u: [] for u in range(spec.n)}
-    horizon = spec.horizon()
+    mail: Dict[int, List[Any]] = {u: [] for u in range(spec.point.n)}
+    horizon = spec.point.horizon()
     for round_ in range(1, horizon + 1):
         if accountant.quiescent_at(round_):
             break
         expects, crashers = accountant.begin_round(round_)
-        next_mail: Dict[int, List[Any]] = {u: [] for u in range(spec.n)}
+        next_mail: Dict[int, List[Any]] = {u: [] for u in range(spec.point.n)}
         reports: Dict[int, Dict[str, Any]] = {}
         for u in accountant.alive():
             runtime = runtimes[u]

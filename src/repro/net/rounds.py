@@ -209,7 +209,7 @@ class WireCoordinator:
         spec.validate()
         self.spec = spec
         self.plan = WireFaultPlan.from_script(spec.script)
-        self.accountant = RoundAccountant(spec.n, self.plan)
+        self.accountant = RoundAccountant(spec.point.n, self.plan)
         self.detector = FailureDetector(
             spec.heartbeat_interval, spec.suspicion_threshold
         )
@@ -247,7 +247,7 @@ class WireCoordinator:
             stream.close()
             return
         node = int(hello["node"])  # type: ignore[arg-type]
-        if not 0 <= node < self.spec.n or node in self._streams:
+        if not 0 <= node < self.spec.point.n or node in self._streams:
             stream.close()
             return
         self._streams[node] = stream
@@ -255,7 +255,7 @@ class WireCoordinator:
         self._queues[node] = asyncio.Queue()
         self.detector.register(node)
         self._journal({"event": "hello", "node": node, "port": self._ports[node]})
-        if len(self._streams) == self.spec.n:
+        if len(self._streams) == self.spec.point.n:
             self._all_hello.set()
         await self._pump(node, stream)
 
@@ -354,19 +354,19 @@ class WireCoordinator:
                 self._all_hello.wait(), timeout=spec.setup_timeout
             )
         except asyncio.TimeoutError:
-            missing = sorted(set(range(spec.n)) - set(self._streams))
+            missing = sorted(set(range(spec.point.n)) - set(self._streams))
             raise WireError(
                 f"setup timed out after {spec.setup_timeout:.1f}s; "
                 f"nodes {missing} never connected"
             ) from None
 
         ports = {str(u): self._ports[u] for u in sorted(self._ports)}
-        for u in range(spec.n):
+        for u in range(spec.point.n):
             if not await self._send(u, {"t": "peers", "ports": ports}):
                 raise WireError(f"node {u} died before the peer exchange")
         self._journal({"event": "peers", "ports": ports})
 
-        horizon = spec.horizon()
+        horizon = spec.point.horizon()
         for round_ in range(1, horizon + 1):
             if acc.quiescent_at(round_):
                 self._journal({"event": "quiescent", "round": round_})

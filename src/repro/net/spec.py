@@ -1,10 +1,10 @@
 """Wire-trial specification and the sim/wire shared vocabulary.
 
-A :class:`WireSpec` pins everything a real-network trial needs — protocol,
-size, seed, input pattern, fault script, and the transport tunables — and
-is the unit the parity oracle quantifies over: for one ``(spec, seed,
-script)`` the simulator and the wire backend must produce identical
-message accounting and identical outcomes.
+A :class:`WireSpec` pins everything a real-network trial needs — a
+:class:`~repro.core.families.RunPoint` (protocol, size, seed, input
+pattern, fault script) plus the transport tunables — and is the unit the
+parity oracle quantifies over: for one spec the simulator and the wire
+backend must produce identical message accounting and identical outcomes.
 
 To make "identical" checkable, this module also owns:
 
@@ -31,40 +31,38 @@ from :mod:`repro.rng`'s hash-derived streams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from types import SimpleNamespace
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..chaos.script import CrashScript
-from ..core.families import FAMILIES, Family, Setup
+from ..core.families import FAMILIES, RunPoint
 from ..errors import ConfigurationError
 from ..faults.strategies import named_adversary
-from ..params import CongestBudget, Params
+from ..params import CongestBudget
 from ..rng import RngFactory
 from ..sim.adapter import NodeRuntime
 from ..sim.metrics import Metrics
 from ..sim.network import RunResult
 from ..sim.node import Protocol
-from ..types import Knowledge
 
 #: Protocols the wire backend can run (same logic objects as the sim):
 #: the families with wire output fields.
 WIRE_PROTOCOLS = tuple(name for name, family in FAMILIES.items() if family.outputs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WireSpec:
-    """Everything one wire trial needs, JSON-round-trippable."""
+    """One wire trial: a run point plus the transport tunables.
 
-    protocol: str
-    n: int
-    alpha: float = 0.75
-    seed: int = 0
-    inputs: str = "mixed"
-    faulty_count: Optional[int] = None
-    extra_rounds: int = 0
-    script: Optional[CrashScript] = None
+    ``WireSpec(point, **transport)``, or ``WireSpec(**fields)`` with the
+    point's fields among them (``script`` is the point's adversary; a
+    wire point defaults to ``alpha=0.75`` and no faults).  JSON-round-
+    trippable: :meth:`to_dict` is the point's dict plus the transport's.
+    """
+
+    point: RunPoint
     # -- transport tunables (no effect on accounting or outcomes) -------
     host: str = "127.0.0.1"
     heartbeat_interval: float = 0.1
@@ -73,72 +71,49 @@ class WireSpec:
     setup_timeout: float = 20.0
     trial_timeout: float = 180.0
 
-    def __post_init__(self) -> None:
-        if self.protocol not in WIRE_PROTOCOLS:
+    def __init__(self, point: Optional[RunPoint] = None, **values: Any) -> None:
+        transport = {
+            f.name: values.pop(f.name, f.default) for f in fields(WireSpec)[1:]
+        }
+        protocol = values.get("protocol") if point is None else point.protocol
+        if protocol not in WIRE_PROTOCOLS:
             raise ConfigurationError(
-                f"unknown wire protocol {self.protocol!r}; "
-                f"choose from {WIRE_PROTOCOLS}"
+                f"unknown wire protocol {protocol!r}; choose from {WIRE_PROTOCOLS}"
             )
+        if point is None:
+            values.setdefault("alpha", 0.75)
+            values["adversary"] = values.pop("script", None) or "none"
+            point = RunPoint(**values)
+        elif values:
+            raise TypeError(f"WireSpec got a point and point fields {sorted(values)}")
+        for name, value in {"point": point, **transport}.items():
+            object.__setattr__(self, name, value)
         if self.heartbeat_interval <= 0 or self.suspicion_threshold < 2:
             raise ConfigurationError(
                 "heartbeat_interval must be positive and "
                 "suspicion_threshold >= 2"
             )
 
-    # ------------------------------------------------------------------
-    # Derived model quantities (must match the sim runners exactly)
-    # ------------------------------------------------------------------
-
-    def _family(self) -> Family:
-        return FAMILIES[self.protocol]
-
-    def _setup(self) -> Setup:
-        """The family's run pieces for this spec, as the sim runner fixes them."""
-        return self._family().setup(
-            self.n,
-            self.alpha,
-            inputs=self.inputs,
-            seed=self.seed,
-            faulty_count=self.faulty_count,
-            extra_rounds=self.extra_rounds,
-            scripted=self.faulty_set(),
-        )
-
-    def params(self) -> Params:
-        """Paper parameters (election/agreement only)."""
-        return Params(n=self.n, alpha=self.alpha)
-
-    def resolved_faulty_count(self) -> int:
-        """The fault budget the sim runner would use for this spec."""
-        return self._setup().faulty_count
-
-    def horizon(self) -> int:
-        """The nominal round count the sim runner would request."""
-        return self._setup().horizon
-
-    def knowledge(self) -> Knowledge:
-        """Knowledge model of the protocol (flooding assumes KT1)."""
-        return self._family().knowledge
-
-    def input_bits(self) -> Optional[List[int]]:
-        """Agreement/flooding input vector (None for election)."""
-        return self._setup().inputs
-
-    def adversary(self) -> Any:
-        """The adversary object the sim reference run uses."""
-        if self.script is not None:
-            return self.script
-        return named_adversary("none", self.horizon())
-
-    def faulty_set(self) -> Tuple[int, ...]:
-        """Static faulty set (scripted runs only; empty otherwise)."""
-        return self.script.faulty if self.script else ()
+    @property
+    def script(self) -> Optional[CrashScript]:
+        """The point's crash script (``None`` for a fault-free trial)."""
+        return self.point.script
 
     def validate(self) -> None:
         """Reject specs the wire backend cannot replay round-faithfully."""
-        # Params strictness (alpha floor, n >= 8) for the paper protocols.
-        self._setup()
-        script = self.script
+        point = self.point
+        script = point.script
+        if script is None and point.adversary != "none":
+            raise ConfigurationError(
+                "wire backend replays crash scripts only; the point has "
+                f"adversary {point.adversary!r}"
+            )
+        delay = script.delivery.max_delay if script else point.max_delay
+        if delay:
+            raise ConfigurationError(
+                "wire backend is round-synchronous; the point has a "
+                f"delay-{delay} delivery schedule"
+            )
         if script is None:
             return
         if script.byzantine.modes:
@@ -146,48 +121,41 @@ class WireSpec:
                 "wire backend replays crash faults only; the script has a "
                 "Byzantine plan"
             )
-        if not script.delivery.is_synchronous:
-            raise ConfigurationError(
-                "wire backend is round-synchronous; the script has a "
-                f"delay-{script.delivery.max_delay} delivery schedule"
-            )
         faulty = set(script.faulty)
         for node, (round_, _) in script.crashes.items():
             if node not in faulty:
                 raise ConfigurationError(
                     f"script crashes node {node} outside its faulty set"
                 )
-            if not 0 <= node < self.n:
+            if not 0 <= node < point.n:
                 raise ConfigurationError(
-                    f"script crashes node {node}, but n={self.n}"
+                    f"script crashes node {node}, but n={point.n}"
                 )
             if round_ < 1:
                 raise ConfigurationError(
                     f"script crashes node {node} in round {round_} (< 1)"
                 )
-        if len(faulty) > self.resolved_faulty_count():
+        if len(faulty) > point.fault_budget:
             raise ConfigurationError(
                 f"script has {len(faulty)} faulty nodes; the budget is "
-                f"{self.resolved_faulty_count()}"
+                f"{point.fault_budget}"
             )
 
     # ------------------------------------------------------------------
     # Node-side construction
     # ------------------------------------------------------------------
 
-    def make_protocol(self, node_id: int) -> Protocol:
-        """Build node ``node_id``'s protocol exactly as the runner does."""
-        return self._family().nodes(self._setup())(node_id)
-
     def make_runtime(self, node_id: int) -> NodeRuntime:
-        """Build node ``node_id``'s engine-faithful runtime."""
+        """Build node ``node_id``'s engine-faithful runtime, with the
+        protocol, parameters and RNG stream the sim runner gives it."""
+        point = self.point
         return NodeRuntime(
             node_id,
-            self.n,
-            self.make_protocol(node_id),
-            RngFactory(self.seed).node_stream(node_id),
-            knowledge=self.knowledge(),
-            congest=CongestBudget(self.n),
+            point.n,
+            point.family.nodes(point)(node_id),
+            RngFactory(point.seed).node_stream(node_id),
+            knowledge=point.family.knowledge,
+            congest=CongestBudget(point.n),
         )
 
     # ------------------------------------------------------------------
@@ -195,23 +163,24 @@ class WireSpec:
     # ------------------------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
-        data: Dict[str, object] = {
-            f.name: getattr(self, f.name) for f in fields(self) if f.name != "script"
-        }
-        if self.script is not None:
-            data["script"] = self.script.to_dict()
+        data = self.point.to_dict()
+        data.update((f.name, getattr(self, f.name)) for f in fields(self)[1:])
         return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "WireSpec":
-        values = {f.name: data[f.name] for f in fields(cls) if f.name in data}
-        if values.get("script") is not None:
-            values["script"] = CrashScript.from_dict(values["script"])
-        return cls(**values)
+        names = {f.name for f in fields(cls)[1:]}
+        point = RunPoint.from_dict({k: v for k, v in data.items() if k not in names})
+        return cls(point, **{k: v for k, v in data.items() if k in names})
 
     def with_(self, **changes: object) -> "WireSpec":
-        """Copy with fields replaced (mirrors ``Params.with_``)."""
-        return replace(self, **changes)  # type: ignore[arg-type]
+        """Copy with transport knobs or point fields (``script`` too) replaced."""
+        transport = {f.name: getattr(self, f.name) for f in fields(self)[1:]}
+        point_changes = {k: v for k, v in changes.items() if k not in transport}
+        if "script" in point_changes:
+            point_changes["adversary"] = point_changes.pop("script") or "none"
+        transport.update((k, v) for k, v in changes.items() if k in transport)
+        return WireSpec(self.point.with_(**point_changes), **transport)
 
 
 # ----------------------------------------------------------------------
@@ -227,7 +196,7 @@ def snapshot_outputs(spec: WireSpec, protocol: Protocol) -> Dict[str, object]:
     snapshot equals its end-of-run state in the sim.
     """
     snapshot: Dict[str, object] = {}
-    for name, _ in FAMILIES[spec.protocol].outputs:
+    for name, _ in spec.point.family.outputs:
         value = getattr(protocol, name)
         snapshot[name] = value.name if isinstance(value, Enum) else value
     return snapshot
@@ -236,7 +205,7 @@ def snapshot_outputs(spec: WireSpec, protocol: Protocol) -> Dict[str, object]:
 def _fake_protocol(spec: WireSpec, outputs: Mapping[str, object]) -> object:
     """Rehydrate a snapshot into the attribute surface the evaluators read."""
     attributes: Dict[str, object] = {}
-    for name, kind in FAMILIES[spec.protocol].outputs:
+    for name, kind in spec.point.family.outputs:
         value = outputs[name]
         if value is not None:
             value = kind[str(value)] if issubclass(kind, Enum) else kind(value)  # type: ignore[index]
@@ -251,8 +220,8 @@ def _fake_protocol(spec: WireSpec, outputs: Mapping[str, object]) -> object:
 
 def canonical_outcome(spec: WireSpec, result: object) -> Dict[str, object]:
     """Reduce a runner result / baseline outcome to the parity dict."""
-    outcome: Dict[str, object] = {"protocol": spec.protocol}
-    for name in FAMILIES[spec.protocol].outcome:
+    outcome: Dict[str, object] = {"protocol": spec.point.protocol}
+    for name in spec.point.family.outcome:
         outcome[name] = _plain(getattr(result, name))
     return outcome
 
@@ -283,24 +252,25 @@ def wire_outcome(
     snapshots and hands it to the *same* evaluation functions the sim
     runners use, so the success predicates are shared by construction.
     """
-    missing = [u for u in range(spec.n) if u not in outputs]
+    point = spec.point
+    missing = [u for u in range(point.n) if u not in outputs]
     if missing:
         raise ConfigurationError(
             f"wire outcome needs outputs from every node; missing {missing}"
         )
-    protocols = [_fake_protocol(spec, outputs[u]) for u in range(spec.n)]
+    protocols = [_fake_protocol(spec, outputs[u]) for u in range(point.n)]
     run = RunResult(
-        n=spec.n,
+        n=point.n,
         protocols=protocols,  # type: ignore[arg-type]
         metrics=metrics,
         trace=None,
-        faulty=set(spec.faulty_set()),
+        faulty=set(point.script.faulty if point.script else ()),
         crashed=dict(crashed),
         rounds=metrics.rounds,
         horizon=metrics.horizon,
         max_delay=0,
     )
-    result = spec._family().evaluate(run, spec._setup(), spec.adversary())
+    result = point.family.evaluate(run, point, _adversary(point))
     return canonical_outcome(spec, result)
 
 
@@ -313,17 +283,14 @@ def sim_reference(
     spec: WireSpec, backend: str = "ref"
 ) -> Tuple[Metrics, Dict[str, object]]:
     """Run ``spec`` on the discrete-round simulator (the parity baseline)."""
-    result = spec._family().run(
-        spec.n,
-        spec.alpha,
-        spec.seed,
-        spec.adversary(),
-        inputs=spec.inputs,
-        faulty_count=spec.resolved_faulty_count(),
-        extra_rounds=spec.extra_rounds,
-        backend=backend,
-    )
+    point = spec.point.with_(backend=backend)
+    result = point.family.run(point)
     return result.metrics, canonical_outcome(spec, result)
+
+
+def _adversary(point: RunPoint) -> Any:
+    """The adversary object a sim run of ``point`` is charged to."""
+    return point.script or named_adversary("none", point.horizon())
 
 
 def metrics_dict(metrics: Metrics) -> Dict[str, object]:

@@ -26,7 +26,7 @@ def election_trial(
     """One leader-election trial → its ``summary()`` dict."""
     from ..core.runner import elect_leader
 
-    return _trial(elect_leader, seed, profile, kwargs)
+    return _trial(lambda timers: elect_leader(seed=seed, timers=timers, **kwargs), profile)
 
 
 def agreement_trial(
@@ -35,11 +35,7 @@ def agreement_trial(
     """One agreement trial → its ``summary()`` dict."""
     from ..core.runner import agree
 
-    return _trial(agree, seed, profile, kwargs)
-
-
-#: The run options ``ben_or_trial`` forwards, as ``ben_or_consensus`` takes them.
-_BEN_OR_OPTIONS = frozenset({"byzantine", "max_phases", "collect_trace"})
+    return _trial(lambda timers: agree(seed=seed, timers=timers, **kwargs), profile)
 
 
 def ben_or_trial(
@@ -50,7 +46,9 @@ def ben_or_trial(
     adversary: str = "random",
     inputs: str = "mixed",
     max_delay: int = 0,
-    **kwargs: Any,
+    max_phases: Optional[int] = None,
+    byzantine: Any = None,
+    collect_trace: bool = False,
 ) -> Dict[str, Any]:
     """One Ben-Or consensus trial → its ``summary()`` dict.
 
@@ -58,32 +56,29 @@ def ben_or_trial(
     (``Params.max_faulty``), capped at Ben-Or's ``< n/2`` resilience;
     ``max_delay`` > 0 runs the trial under bounded-delay delivery.
     """
-    from ..core.families import FAMILIES
-    from ..sim.delivery import UniformDelay
+    from ..core.families import FAMILIES, RunPoint
 
-    unknown = sorted(set(kwargs) - _BEN_OR_OPTIONS)
-    if unknown:
-        raise TypeError(f"ben_or_trial() got unexpected keyword arguments {unknown}")
-    point = dict(
-        kwargs, n=n, alpha=alpha, adversary=adversary, inputs=inputs,
-        delivery=UniformDelay(max_delay, salt=seed) if max_delay else None,
+    point = RunPoint(
+        "ben_or", n, alpha, seed, adversary, inputs=inputs, max_delay=max_delay,
+        options={"max_phases": max_phases},
     )
-    echo = {"alpha": alpha, "adversary": adversary, "max_delay": max_delay}
-    return _trial(FAMILIES["ben_or"].run, seed, profile, point, echo)
+    return _trial(
+        lambda timers: FAMILIES["ben_or"].run(
+            point, byzantine=byzantine, collect_trace=collect_trace, timers=timers
+        ),
+        profile,
+        {"alpha": alpha, "adversary": adversary, "max_delay": max_delay},
+    )
 
 
 def _trial(
-    run: Callable[..., Any],
-    seed: int,
-    profile: bool,
-    point: Dict[str, Any],
-    echo: Optional[Dict[str, Any]] = None,
+    run: Callable[[Any], Any], profile: bool, echo: Optional[Dict[str, Any]] = None
 ) -> Dict[str, Any]:
-    """``run`` one trial at ``point`` → its summary dict, plus ``echo``
-    (point values the result does not record)."""
+    """``run(timers)`` one trial → its summary dict, plus ``echo`` (point
+    values the result does not record)."""
     from ..obs.timing import PhaseTimers
 
-    result = run(seed=seed, timers=PhaseTimers() if profile else None, **point)
+    result = run(PhaseTimers() if profile else None)
     summary = result.summary()
     summary.update(echo or {})
     if result.metrics.phase_seconds:
@@ -92,39 +87,33 @@ def _trial(
 
 
 def fuzz_trial(
-    seed: int = 0,
-    protocol: str = "election",
-    n: int = 64,
-    alpha: float = 0.5,
-    inputs: str = "mixed",
-    extra_rounds: int = 0,
-    **kwargs: Any,
+    seed: int = 0, scenario: Any = None, config: Any = None, **fields: Any
 ) -> Dict[str, Any]:
     """One adversary-fuzzing trial → a plain-dict verdict.
 
-    A pure function of ``(scenario, seed)`` — the sampled crash schedule
-    derives from the engine's seeded adversary stream — so the serve
-    layer's content-addressed result cache can answer repeats.  A failing
-    case ships its full replayable reproducer (``repro replay`` accepts
-    the embedded ``case`` object verbatim); fault-fragile findings are
-    flagged separately so campaign aggregation can journal instead of
+    ``scenario`` is a :class:`~repro.core.families.RunPoint`, or
+    ``fields`` are :func:`~repro.chaos.fuzzer.fuzz_scenario`'s keywords;
+    ``config`` is the schedule grammar.  A pure function of ``(scenario,
+    seed, config)`` — the sampled crash schedule derives from the engine's
+    seeded adversary stream — so the serve layer's content-addressed
+    result cache can answer repeats.  A failing case ships its full
+    replayable reproducer as plain data (``repro replay`` accepts the
+    embedded ``case`` object verbatim), so a case found in a pool worker
+    is bit-identical to what a serial run records; fault-fragile findings
+    are flagged separately so campaign aggregation can journal instead of
     fail, mirroring ``repro fuzz``.
     """
-    from ..chaos.fuzzer import FuzzScenario, fuzz_one
+    from ..chaos.fuzzer import fuzz_one, fuzz_scenario
 
-    scenario = FuzzScenario(
-        protocol=protocol,
-        n=n,
-        alpha=alpha,
-        inputs=inputs,
-        extra_rounds=extra_rounds,
-        **kwargs,
-    )
-    case = fuzz_one(scenario, seed)
+    if scenario is None:
+        scenario = fuzz_scenario(**fields)
+    elif fields:
+        raise TypeError(f"fuzz_trial() got a scenario and its fields {sorted(fields)}")
+    case = fuzz_one(scenario, seed, config=config)
     summary: Dict[str, Any] = {
-        "protocol": protocol,
-        "n": n,
-        "alpha": alpha,
+        "protocol": scenario.protocol,
+        "n": scenario.n,
+        "alpha": scenario.alpha,
         "seed": seed,
         "failed": case is not None,
     }

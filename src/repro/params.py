@@ -103,6 +103,10 @@ class Params:
             raise ConfigurationError("sampling factors must be positive")
         if self.iteration_factor <= 0:
             raise ConfigurationError("iteration_factor must be positive")
+        if self.rank_exponent < 1:
+            raise ConfigurationError(
+                f"rank_exponent must be >= 1, got {self.rank_exponent}"
+            )
 
     # ------------------------------------------------------------------
     # Sampling quantities (Section IV-A / V-A)

@@ -9,19 +9,18 @@ import random
 import pytest
 
 from repro.chaos.fuzzer import (
-    DELAY_TOLERANT,
     PROTOCOLS,
-    SCENARIO_MODES,
     FuzzCase,
-    FuzzScenario,
     fuzz,
     fuzz_one,
+    fuzz_scenario,
     replay_case,
 )
 from repro.chaos.grammar import FuzzedAdversary, GrammarConfig, sample_script
 from repro.chaos.oracles import FRAGILE_PREFIXES, downgrade_fragile
 from repro.chaos.script import CrashScript, DeliveryFilter
 from repro.chaos.shrink import shrink_case
+from repro.core.families import FAMILIES
 from repro.errors import ConfigurationError
 from repro.faults.byzantine import ByzantinePlan
 from repro.sim.delivery import UniformDelay
@@ -131,21 +130,21 @@ class TestFragileOracles:
             downgrade_fragile(["oracle: x"], prefix="cosmic")
 
     def test_is_finding_requires_all_fragile(self):
-        scenario = FuzzScenario("agreement", n=16)
+        scenario = fuzz_scenario("agreement", n=16)
         script = CrashScript()
-        fragile = FuzzCase(scenario, 0, script, ["byzantine: validity broken"])
+        fragile = FuzzCase(scenario.with_(seed=0, adversary=script), ["byzantine: validity broken"])
         assert fragile.is_finding
         mixed = FuzzCase(
-            scenario, 0, script,
+            scenario.with_(seed=0, adversary=script),
             ["byzantine: validity broken", "model: conservation broken"],
         )
         assert not mixed.is_finding
-        clean = FuzzCase(scenario, 0, script, [])
+        clean = FuzzCase(scenario.with_(seed=0, adversary=script), [])
         assert not clean.is_finding
 
     def test_scenario_mode_table_complete(self):
-        assert set(SCENARIO_MODES) == set(PROTOCOLS)
-        assert DELAY_TOLERANT == ("ben_or",)
+        assert all(FAMILIES[name].modes for name in PROTOCOLS)
+        assert [name for name in PROTOCOLS if FAMILIES[name].delay_tolerant] == ["ben_or"]
         for prefix in FRAGILE_PREFIXES:
             assert prefix in ("byzantine", "async")
 
@@ -159,7 +158,7 @@ class TestFuzzOneExtended:
             byzantine_modes=("rank_forger", "equivocator"),
             byzantine_probability=1.0,
         )
-        scenario = FuzzScenario("agreement", n=16, inputs="all1")
+        scenario = fuzz_scenario("agreement", n=16, inputs="all1")
         for seed in (3, 11, 27):
             case = fuzz_one(scenario, seed, config=config)
             if case is not None:
@@ -171,7 +170,7 @@ class TestFuzzOneExtended:
             byzantine_probability=1.0,
             max_byzantine=1,
         )
-        scenario = FuzzScenario("ben_or", n=16, inputs="all1")
+        scenario = fuzz_scenario("ben_or", n=16, inputs="all1")
         findings = []
         for seed in range(8):
             case = fuzz_one(scenario, seed, config=config)
@@ -194,7 +193,7 @@ class TestFindingsRouting:
             max_byzantine=1,
         )
         report = fuzz(
-            [FuzzScenario("ben_or", n=16, inputs="all1")],
+            [fuzz_scenario("ben_or", n=16, inputs="all1")],
             seeds=6,
             config=config,
             shrink_failures=False,
@@ -230,7 +229,7 @@ class TestByzantineShrink:
         # A deliberately bloated schedule — crashes, extra faulty nodes,
         # a delay bound, and one forger — must shrink to (at most) two
         # faulty nodes while still breaking validity the same way.
-        scenario = FuzzScenario("ben_or", n=16, inputs="all1")
+        scenario = fuzz_scenario("ben_or", n=16, inputs="all1")
         script = CrashScript(
             faulty=(1, 2, 3),
             crashes={
@@ -241,8 +240,8 @@ class TestByzantineShrink:
             delivery=UniformDelay(1, salt=8),
             label="seeded",
         )
-        violations = replay_case(FuzzCase(scenario, 0, script))
-        case = FuzzCase(scenario, 0, script, violations)
+        violations = replay_case(FuzzCase(scenario.with_(seed=0, adversary=script)))
+        case = FuzzCase(scenario.with_(seed=0, adversary=script), violations)
         assert case.is_finding
         assert "byzantine" in case.signature
 
@@ -261,7 +260,7 @@ class TestByzantineShrink:
 class TestBenOrBudget:
     """Fuzzed Ben-Or runs stay within its ``f < n/2`` resilience bound."""
 
-    SCENARIO = FuzzScenario(protocol="ben_or", n=64, alpha=0.3)
+    SCENARIO = fuzz_scenario(protocol="ben_or", n=64, alpha=0.3)
 
     def test_crash_only_runs(self):
         from repro.chaos.fuzzer import run_scenario

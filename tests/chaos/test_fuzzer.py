@@ -12,17 +12,19 @@ from repro.chaos import (
     CrashScript,
     DeliveryFilter,
     FuzzCase,
-    FuzzScenario,
     classify,
     default_scenarios,
     fuzz,
     fuzz_one,
+    fuzz_scenario,
     replay_case,
     run_scenario,
     shrink_case,
 )
 from repro.chaos import fuzzer as fuzzer_module
 from repro.chaos.grammar import FuzzedAdversary
+from repro.core.families import RunPoint
+from repro.core.families import RunPoint
 from repro.errors import ConfigurationError
 from repro.exec import Journal
 from repro.parallel.supervisor import PoolSupervisor
@@ -30,12 +32,20 @@ from repro.parallel.supervisor import PoolSupervisor
 
 class TestFuzzScenario:
     def test_round_trip(self):
-        scenario = FuzzScenario(protocol="agreement", n=48, alpha=0.4, inputs=(0, 1))
-        assert FuzzScenario.from_dict(scenario.to_dict()) == scenario
+        scenario = fuzz_scenario(protocol="agreement", n=48, alpha=0.4, inputs=(0, 1))
+        assert RunPoint.from_dict(scenario.to_dict()) == scenario
+
+    def test_case_round_trips_at_the_current_version(self):
+        script = CrashScript(faulty=(1,), crashes={1: (2, DeliveryFilter(kind="drop_all"))})
+        case = FuzzCase(fuzz_scenario("election", n=32).with_(seed=5, adversary=script), ["x"])
+        data = case.to_dict()
+        assert (data["version"], data["point"]["seed"]) == (3, 5)
+        assert data["point"]["inputs"] is None
+        assert FuzzCase.from_dict(data) == case
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ConfigurationError):
-            FuzzScenario(protocol="paxos")
+            fuzz_scenario(protocol="paxos")
 
     def test_horizon_positive(self):
         for scenario in default_scenarios(n=48):
@@ -108,7 +118,7 @@ class TestFuzzCampaign:
 class TestReplayDeterminism:
     def test_fuzzed_run_replays_identically_from_script(self):
         """The recorded CrashScript reproduces the fuzzed run bit-for-bit."""
-        scenario = FuzzScenario(protocol="election", n=64)
+        scenario = fuzz_scenario(protocol="election", n=64)
         for seed in (0, 1, 2):
             adversary = FuzzedAdversary(horizon=scenario.horizon())
             live_violations, live = run_scenario(scenario, seed, adversary)
@@ -138,8 +148,8 @@ class TestBrokenAdversaryIsCaught:
             },
             label="broken",
         )
-        scenario = FuzzScenario(protocol="election", n=64)
-        case = FuzzCase(scenario=scenario, seed=0, script=script)
+        scenario = fuzz_scenario(protocol="election", n=64)
+        case = FuzzCase(scenario.with_(adversary=script))
         case.violations = replay_case(case)
         return case
 
@@ -166,13 +176,13 @@ class TestBrokenAdversaryIsCaught:
         case = self._broken_case()
         restored = FuzzCase.from_json(case.to_json())
         assert restored.script == case.script
-        assert restored.scenario == case.scenario
+        assert restored.point == case.point
         assert replay_case(restored) == case.violations
 
 
 class TestFuzzOne:
     def test_clean_seed_returns_none(self):
-        scenario = FuzzScenario(protocol="agreement", n=64)
+        scenario = fuzz_scenario(protocol="agreement", n=64)
         assert fuzz_one(scenario, seed=0) is None
 
     def test_requires_scenarios(self):

@@ -29,7 +29,7 @@ import pytest
 
 from repro.baselines.ben_or import ben_or_consensus, ben_or_horizon
 from repro.baselines.flooding import flooding_consensus
-from repro.chaos import PROTOCOLS, FuzzedAdversary, FuzzScenario, run_scenario
+from repro.chaos import PROTOCOLS, FuzzedAdversary, fuzz_scenario, run_scenario
 from repro.core.ranks import draw_rank
 from repro.core.runner import (
     agree,
@@ -395,7 +395,7 @@ def test_fuzz_verdict(protocol):
     assert fuzz_trial(seed=1, protocol=protocol, n=64, alpha=0.6) == {
         "protocol": protocol, "n": 64, "alpha": 0.6, "seed": 1, "failed": False,
     }
-    scenario = FuzzScenario(protocol=protocol, n=64, alpha=0.6)
+    scenario = fuzz_scenario(protocol, n=64, alpha=0.6)
     adversary = FuzzedAdversary(horizon=scenario.horizon(), label="fuzz@1")
     violations, result = run_scenario(scenario, 1, adversary)
     assert violations == []

@@ -117,7 +117,7 @@ class TestLoopbackParity:
         spec = WireSpec(protocol=protocol, n=8, extra_rounds=2)
         report = run_parity_trial(spec, backend="loopback")
         assert report.ok, "\n".join(report.diffs)
-        assert report.sim_metrics["horizon"] == spec.horizon()
+        assert report.sim_metrics["horizon"] == spec.point.horizon()
         vec_metrics, vec_outcome = sim_reference(spec, backend="vec")
         assert metrics_dict(vec_metrics) == report.sim_metrics
         assert vec_outcome == report.sim_outcome

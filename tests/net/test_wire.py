@@ -77,7 +77,7 @@ class TestKillDetection:
         assert (journal / "coordinator.jsonl").exists()
         # Every node process left a log (stderr tracebacks land there too).
         logs = sorted(p.name for p in journal.glob("node-*.log"))
-        assert logs == [f"node-{u}.log" for u in range(spec.n)]
+        assert logs == [f"node-{u}.log" for u in range(spec.point.n)]
 
 
 class TestJournals:
@@ -92,7 +92,7 @@ class TestJournals:
             for line in (journal / "coordinator.jsonl").read_text().splitlines()
         ]
         kinds = [e["event"] for e in events]
-        assert kinds.count("hello") == spec.n
+        assert kinds.count("hello") == spec.point.n
         crash_events = [e for e in events if e["event"] == "crash"]
         assert {e["node"] for e in crash_events} == set(trial.crashed)
         result = json.loads((journal / "result.json").read_text())

@@ -83,6 +83,11 @@ class TestParamsValidation:
         with pytest.raises(ConfigurationError):
             Params(n=256, alpha=0.5, iteration_factor=0)
 
+    @pytest.mark.parametrize("exponent", [0, -1])
+    def test_rejects_rank_exponent_below_one(self, exponent):
+        with pytest.raises(ConfigurationError, match="rank_exponent"):
+            Params(n=64, alpha=0.5, rank_exponent=exponent)
+
     def test_with_returns_modified_copy(self):
         params = Params(n=256, alpha=0.5)
         other = params.with_(alpha=0.25)
