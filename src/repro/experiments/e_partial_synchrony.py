@@ -75,9 +75,8 @@ def _run_e17(quick: bool) -> ExperimentReport:
     for delta in (0, 1, 3):
         outcomes = []
         for seed in seed_sequence(170 + delta, trials):
-            delivery = UniformDelay(delta, salt=seed) if delta else None
             outcomes.append(
-                FAMILIES["ben_or"].run(n, alpha, seed, "random", delivery=delivery)
+                FAMILIES["ben_or"].run(n, alpha, seed, "random", max_delay=delta)
             )
         success = summarize_trials([o.success for o in outcomes])
         mean_rounds[delta] = mean([o.rounds for o in outcomes])
