@@ -195,6 +195,11 @@ class RunPoint:
             raise ConfigurationError(
                 f"params are for n={params.n}, but the run has n={self.n} nodes"
             )
+        if params is not None and self.alpha is not None and params.alpha != self.alpha:
+            raise ConfigurationError(
+                f"params are for alpha={params.alpha}, but the run has "
+                f"alpha={self.alpha}"
+            )
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "options", tuple(sorted(dict(self.options).items())))

@@ -1,10 +1,11 @@
 """Hot-path and IO discipline rules: PERF001 and IO001.
 
 PERF001 guards the engine's per-message allocation path: classes in the
-configured hot modules (``sim/message.py``, ``sim/trace.py``) were
-deliberately converted to ``__slots__`` classes (docs/PERF.md); a new
-class added there without slots quietly reintroduces a per-instance
-``__dict__`` on a path exercised millions of times per campaign.
+configured hot modules (``sim/message.py``, ``sim/trace.py``) are
+``__slots__`` classes or ``NamedTuple``s (``TraceEvent``), neither of
+which has a per-instance ``__dict__`` (docs/PERF.md); a new class added
+there without slots quietly reintroduces one on a path exercised
+millions of times per campaign.
 
 IO001 keeps stdout clean: CLI table/report output is the *product* of a
 run (and is diffed byte-for-byte in parity tests), so engine and worker
@@ -45,7 +46,8 @@ class SlotsRule(FileRule):
     Applies to the modules configured as ``hot_modules``.  Dataclasses
     are exempt (one that matters can take ``slots=True``, and the ones
     kept in hot modules are deliberate, e.g. the per-run ``Trace``
-    container), as are exception and enum types.
+    container), as are ``NamedTuple``s (``TraceEvent``: a tuple has no
+    instance ``__dict__``) and exception and enum types.
     """
 
     rule_id = "PERF001"

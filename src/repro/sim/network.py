@@ -43,24 +43,42 @@ from .delivery import SYNCHRONOUS, DeliverySchedule
 from .message import Delivery, Envelope, Message
 from .metrics import Metrics
 from .node import NEVER, Context, Protocol
-from .trace import Trace, TraceEvent
+from .trace import Trace, TraceEvent, new_event
 
 #: Safety valve: a run may never execute more rounds than this.
 HARD_MAX_ROUNDS = 1_000_000
 
 
-def _trace_message(
-    kind: str, envelope: Envelope, received: Optional[Round] = None
-) -> TraceEvent:
-    """The trace event of one wire message, keyed by its send round."""
-    return TraceEvent(
-        round=envelope.round_sent,
-        kind=kind,
-        src=envelope.sender,
-        dst=envelope.dst,
-        message_kind=envelope.kind,
-        round_received=received,
-    )
+class PendingSenders:
+    """The nodes whose queue dict is non-empty, in ascending-id order.
+
+    A set for membership plus an order-preserving list consumed each round.
+    Enqueues happen in ascending node order within a round (nodes step in
+    id order), so the list is almost always already sorted; ``dirty``
+    marks the rare out-of-order append and the round loop re-sorts only
+    then, instead of ``sorted(set)`` every round.
+
+    The contexts call :meth:`mark`.  The object holds no reference to the
+    :class:`Network`, so a finished run is not a reference cycle and is
+    freed without the cyclic collector.
+    """
+
+    __slots__ = ("members", "order", "dirty")
+
+    def __init__(self) -> None:
+        self.members: Set[NodeId] = set()
+        self.order: List[NodeId] = []
+        self.dirty = False
+
+    def mark(self, src: NodeId) -> None:
+        """Schedule ``src``, whose queue dict just became non-empty."""
+        members = self.members
+        if src not in members:
+            members.add(src)
+            order = self.order
+            if order and src < order[-1]:
+                self.dirty = True
+            order.append(src)
 
 
 @dataclass
@@ -152,15 +170,16 @@ class Network:
         self._in_flight_total = 0
 
         # Per-sender FIFO queues: sender -> dst -> deque of Messages.  Each
-        # node's context appends to its own dict and calls ``_mark_pending``
-        # when the dict goes from empty to non-empty.
+        # node's context appends to its own dict and marks itself in
+        # ``_pending`` when the dict goes from empty to non-empty.
         self._queues: List[Dict[NodeId, Deque[Message]]] = [dict() for _ in range(n)]
+        self._pending = PendingSenders()
         enforce_kt0 = knowledge is Knowledge.KT0
         bits_cap = self.congest.bits_per_message if enforce_congest else math.inf
         self.contexts: List[Context] = [
             Context(
                 u, n, self._rngs.node_stream(u), enforce_kt0, self._queues[u],
-                bits_cap, self._mark_pending,
+                bits_cap, self._pending.mark,
             )
             for u in range(n)
         ]
@@ -178,37 +197,11 @@ class Network:
         self.faulty = self.ledger.faulty
         self.crashed = self.ledger.crashed
 
-        # Pending senders, the nodes with a non-empty queue dict, live in a
-        # set (membership) plus an order-preserving list consumed each round
-        # in ascending-id order.
-        # Enqueues happen in ascending node order within a round (nodes
-        # step in id order), so the list is almost always already sorted;
-        # ``_pending_dirty`` marks the rare out-of-order append and the
-        # round loop re-sorts only then, instead of ``sorted(set)`` every
-        # round.  Iteration order is identical to the former per-round
-        # ``sorted(self._pending_senders)``.
-        self._pending_senders: Set[NodeId] = set()
-        self._pending_list: List[NodeId] = []
-        self._pending_dirty = False
         self._inboxes: Dict[NodeId, List[Delivery]] = {}
         # Wake schedule: a min-heap of (round, node) entries with lazy
         # deletion — an entry is live iff it matches the node's current
         # ``_next_wake``.  Every node starts awake in round 1.
         self._wake_heap: List[Tuple[Round, NodeId]] = [(1, u) for u in range(n)]
-
-    # ------------------------------------------------------------------
-    # Context callbacks
-    # ------------------------------------------------------------------
-
-    def _mark_pending(self, src: NodeId) -> None:
-        """Schedule ``src``, whose queue dict just became non-empty."""
-        pending = self._pending_senders
-        if src not in pending:
-            pending.add(src)
-            order = self._pending_list
-            if order and src < order[-1]:
-                self._pending_dirty = True
-            order.append(src)
 
     # ------------------------------------------------------------------
     # Round machinery
@@ -284,7 +277,7 @@ class Network:
         only quiescent when the delay queue is empty, otherwise the
         fast-forward would skip their arrival rounds.
         """
-        if self._pending_senders or self._inboxes or self._in_flight_total:
+        if self._pending.members or self._inboxes or self._in_flight_total:
             return False
         heap = self._wake_heap
         while heap and not self._entry_live(heap[0]):
@@ -376,19 +369,21 @@ class Network:
 
         # 2. Wire transmission: one queued message per ordered edge.
         #
-        # ``_pending_list`` is consumed in ascending-id order (re-sorted
+        # The pending order is consumed in ascending-id order (re-sorted
         # only after an out-of-order enqueue) and rebuilt with the senders
         # that still hold a backlog, so stale entries never accumulate.
-        order = self._pending_list
-        if self._pending_dirty:
+        pending_senders = self._pending
+        order = pending_senders.order
+        if pending_senders.dirty:
             order.sort()
-            self._pending_dirty = False
-        pending = self._pending_senders
+            pending_senders.dirty = False
+        pending = pending_senders.members
         all_queues = self._queues
         track_outboxes = self.adversary.dynamic_selection
         faulty_alive = self.ledger.alive
         metrics = self.metrics
-        trace = self.trace
+        # Traced runs append event tuples straight to the trace's list.
+        record = self.trace.events.append if self.trace is not None else None
         budget = self.message_budget
         # Send accounting is batched per sender: one counter update per
         # sender instead of one per message.  The budget check adds the
@@ -425,9 +420,10 @@ class Network:
                 envelope = Envelope(u, dst, message, r)
                 sent.append(envelope)
                 bits_total += message.bits
-                per_kind[message.kind] += 1
-                if trace is not None:
-                    trace.record(_trace_message("send", envelope))
+                kind = message.kind
+                per_kind[kind] += 1
+                if record is not None:
+                    record(new_event(TraceEvent, (r, "send", u, dst, kind, None)))
             for dst in emptied:
                 del queues[dst]
             if queues:
@@ -443,7 +439,7 @@ class Network:
                 wire.extend(sent)
                 if track_outboxes or u in faulty_alive:
                     outboxes[u] = sent
-        self._pending_list = still_pending
+        pending_senders.order = still_pending
         if profiling:
             _now = _perf()
             timers.add(PHASE_TRANSMIT, _now - _mark)
@@ -458,11 +454,11 @@ class Network:
         dropped: Set[Tuple[NodeId, NodeId]] = set()
         for victim, order in ledger.crash(orders, r):
             self.metrics.record_crash()
-            if trace is not None:
-                trace.record(TraceEvent(round=r, kind="crash", src=victim))
+            if record is not None:
+                record(new_event(TraceEvent, (r, "crash", victim, None, None, None)))
             # Discard untransmitted queue content of the crashed node.
             self._queues[victim].clear()
-            self._pending_senders.discard(victim)
+            pending.discard(victim)
             for envelope in outboxes.get(victim, []):
                 if not order.keep(envelope):
                     dropped.add((envelope.sender, envelope.dst))
@@ -491,8 +487,10 @@ class Network:
             dst = envelope.dst
             if dropped and (envelope.sender, dst) in dropped:
                 metrics.record_drop()
-                if trace is not None:
-                    trace.record(_trace_message("drop", envelope))
+                if record is not None:
+                    record(new_event(TraceEvent, (
+                        r, "drop", envelope.sender, dst, envelope.kind, None
+                    )))
                 continue
             if delay is not None:
                 extra = delay(envelope)
@@ -515,13 +513,17 @@ class Network:
                 # as sent (the paper's measure), so conservation demands it
                 # be accounted: sent == delivered + dropped + expired.
                 expired += 1
-                if trace is not None:
-                    trace.record(_trace_message("expire", envelope))
+                if record is not None:
+                    record(new_event(TraceEvent, (
+                        r, "expire", envelope.sender, dst, envelope.kind, None
+                    )))
                 continue
             delivered += 1
             envelope.round_received = next_round
-            if trace is not None:
-                trace.record(_trace_message("deliver", envelope, next_round))
+            if record is not None:
+                record(new_event(TraceEvent, (
+                    r, "deliver", envelope.sender, dst, envelope.kind, next_round
+                )))
             inbox = new_inboxes.get(dst)
             if inbox is None:
                 new_inboxes[dst] = [envelope]
@@ -544,7 +546,7 @@ class Network:
         at send — the crash may postdate the send round).
         """
         metrics = self.metrics
-        trace = self.trace
+        record = self.trace.events.append if self.trace is not None else None
         crashed = self.crashed
         inboxes = self._inboxes
         latency = metrics.delivery_latency
@@ -554,14 +556,20 @@ class Network:
             dst = envelope.dst
             if dst in crashed:
                 expired += 1
-                if trace is not None:
-                    trace.record(_trace_message("expire", envelope, r))
+                if record is not None:
+                    record(new_event(TraceEvent, (
+                        envelope.round_sent, "expire", envelope.sender, dst,
+                        envelope.kind, r,
+                    )))
                 continue
             delivered += 1
             latency[r - envelope.round_sent] += 1
             envelope.round_received = r
-            if trace is not None:
-                trace.record(_trace_message("deliver", envelope, r))
+            if record is not None:
+                record(new_event(TraceEvent, (
+                    envelope.round_sent, "deliver", envelope.sender, dst,
+                    envelope.kind, r,
+                )))
             inbox = inboxes.get(dst)
             if inbox is None:
                 inboxes[dst] = [envelope]
@@ -573,13 +581,16 @@ class Network:
     def _expire_in_flight(self) -> None:
         """Expire every message still in flight when the run ends."""
         metrics = self.metrics
-        trace = self.trace
+        record = self.trace.events.append if self.trace is not None else None
         expired = 0
         for arrival in sorted(self._in_flight):
             for envelope in self._in_flight[arrival]:
                 expired += 1
-                if trace is not None:
-                    trace.record(_trace_message("expire", envelope, arrival))
+                if record is not None:
+                    record(new_event(TraceEvent, (
+                        envelope.round_sent, "expire", envelope.sender,
+                        envelope.dst, envelope.kind, arrival,
+                    )))
         self._in_flight.clear()
         self._in_flight_total = 0
         metrics.messages_expired += expired

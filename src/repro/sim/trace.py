@@ -1,19 +1,22 @@
 """Structured execution traces.
 
-Tracing is optional (it costs memory proportional to the message count) and
-is consumed by :mod:`repro.lowerbound`, which rebuilds the paper's
-*communication graph* and *influence clouds* from the recorded sends.
+Tracing is optional (it costs memory proportional to the message count).
+A trace is an append-only list of :class:`TraceEvent` tuples.  It is
+checked by :func:`repro.sim.validate.validate_run` and consumed by
+:mod:`repro.lowerbound`, which rebuilds the paper's *communication graph*
+and *influence clouds* from the recorded sends.  The engine appends to
+``Trace.events`` directly; :meth:`Trace.record` is for other callers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Any, Callable, Iterator, List, NamedTuple, Optional, Set, Tuple, cast
 
 from ..types import NodeId, Round
 
 
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One traced event.
 
     ``kind`` is one of ``"send"``, ``"deliver"``, ``"drop"``, ``"expire"``,
@@ -34,56 +37,26 @@ class TraceEvent:
     discovered, or the post-horizon round of a message still in flight
     when the run ended.
 
-    A ``__slots__`` class (not a dataclass): traced runs construct one
-    event per send/delivery, so the event itself must stay cheap.
+    A ``NamedTuple``: it compares, hashes and pickles by value, and a
+    tuple of ints and strings drops out of the cyclic collector's
+    tracking after its first young collection, so a traced run's tens of
+    thousands of events are not rescanned by later collections.  The engine builds
+    events with ``tuple.__new__`` directly (see :data:`new_event`).
     """
 
-    __slots__ = ("round", "kind", "src", "dst", "message_kind", "round_received")
+    round: Round
+    kind: str
+    src: NodeId
+    dst: Optional[NodeId] = None
+    message_kind: Optional[str] = None
+    round_received: Optional[Round] = None
 
-    def __init__(
-        self,
-        round: Round,
-        kind: str,
-        src: NodeId,
-        dst: Optional[NodeId] = None,
-        message_kind: Optional[str] = None,
-        round_received: Optional[Round] = None,
-    ) -> None:
-        self.round = round
-        self.kind = kind
-        self.src = src
-        self.dst = dst
-        self.message_kind = message_kind
-        self.round_received = round_received
 
-    def _key(self) -> Tuple:
-        return (
-            self.round,
-            self.kind,
-            self.src,
-            self.dst,
-            self.message_kind,
-            self.round_received,
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"TraceEvent(round={self.round!r}, kind={self.kind!r}, "
-            f"src={self.src!r}, dst={self.dst!r}, "
-            f"message_kind={self.message_kind!r}, "
-            f"round_received={self.round_received!r})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, TraceEvent):
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __reduce__(self):
-        return (TraceEvent, self._key())
+#: ``new_event(TraceEvent, (round, kind, src, dst, message_kind,
+#: round_received))`` builds an event in C, skipping the Python-level
+#: ``__new__`` that ``TraceEvent(...)`` runs; the engine's traced loops
+#: use it.  All six fields must be given.
+new_event = cast(Callable[[type, Tuple[Any, ...]], TraceEvent], tuple.__new__)
 
 
 @dataclass
@@ -91,12 +64,10 @@ class Trace:
     """Append-only event log of one run."""
 
     events: List[TraceEvent] = field(default_factory=list)
-    enabled: bool = True
 
     def record(self, event: TraceEvent) -> None:
-        """Append one event (no-op when disabled)."""
-        if self.enabled:
-            self.events.append(event)
+        """Append one event."""
+        self.events.append(event)
 
     # -- queries used by the lower-bound tooling ------------------------
 

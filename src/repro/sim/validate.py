@@ -28,10 +28,11 @@ Checked invariants:
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Any, Dict, List, Set
 
 from ..types import NodeId, Round
 from .network import RunResult
+from .trace import TraceEvent
 
 
 def validate_run(result: RunResult) -> List[str]:
@@ -39,13 +40,27 @@ def validate_run(result: RunResult) -> List[str]:
     if result.trace is None:
         raise ValueError("run was not traced; pass collect_trace=True")
     violations: List[str] = []
-    trace = result.trace
+    n = result.n
 
-    sends = list(trace.sends())
-    deliveries = list(trace.deliveries())
-    drops = [e for e in trace.events if e.kind == "drop"]
-    expires = [e for e in trace.events if e.kind == "expire"]
-    crashes = {e.src: e.round for e in trace.crashes()}
+    # One pass splits the events by kind; a node's crash round is its
+    # last crash event's, in the order of its first one.
+    sends: List[TraceEvent] = []
+    deliveries: List[TraceEvent] = []
+    drops: List[TraceEvent] = []
+    expires: List[TraceEvent] = []
+    crashes: Dict[NodeId, Round] = {}
+    for event in result.trace.events:
+        kind = event[1]
+        if kind == "send":
+            sends.append(event)
+        elif kind == "deliver":
+            deliveries.append(event)
+        elif kind == "crash":
+            crashes[event[2]] = event[0]
+        elif kind == "drop":
+            drops.append(event)
+        elif kind == "expire":
+            expires.append(event)
 
     # Conservation: the exact identity on the trace, and the metrics
     # agreeing with the trace on every count.
@@ -90,74 +105,74 @@ def validate_run(result: RunResult) -> List[str]:
             f"{per_round_total}, messages_sent is {metrics.messages_sent}"
         )
 
-    # Per-event laws.
-    seen_edges: Set[Tuple[Round, NodeId, NodeId]] = set()
-    outcome_edges: Dict[Tuple[Round, NodeId, NodeId], str] = {}
-    for event in sends:
-        assert event.dst is not None
-        if event.src == event.dst:
-            violations.append(f"round {event.round}: self-message at {event.src}")
-        if not (0 <= event.src < result.n and 0 <= event.dst < result.n):
+    # Per-event laws.  A wire message is keyed by one int,
+    # ``(round * n + src) * n + dst``; an out-of-range endpoint, which
+    # could alias another message's key, keys by the plain triple.
+    seen_edges: Set[Any] = set()
+    for r, _, src, dst, _, _ in sends:
+        assert dst is not None
+        if src == dst:
+            violations.append(f"round {r}: self-message at {src}")
+        if 0 <= src < n and 0 <= dst < n:
+            key: Any = (r * n + src) * n + dst
+        else:
             violations.append(
-                f"round {event.round}: endpoint out of range "
-                f"({event.src} -> {event.dst})"
+                f"round {r}: endpoint out of range ({src} -> {dst})"
             )
-        key = (event.round, event.src, event.dst)
+            key = (r, src, dst)
         if key in seen_edges:
             violations.append(
-                f"round {event.round}: two messages on edge "
-                f"{event.src} -> {event.dst} (CONGEST violation)"
+                f"round {r}: two messages on edge {src} -> {dst} "
+                f"(CONGEST violation)"
             )
         seen_edges.add(key)
-        crash_round = crashes.get(event.src)
-        if crash_round is not None and event.round > crash_round:
+        crash_round = crashes.get(src)
+        if crash_round is not None and r > crash_round:
             violations.append(
-                f"round {event.round}: dead node {event.src} "
+                f"round {r}: dead node {src} "
                 f"(crashed round {crash_round}) sent a message"
             )
 
-    for event in deliveries + drops + expires:
-        key = (event.round, event.src, event.dst)
-        if key not in seen_edges:
-            # The trace keys deliveries/drops by their send round, so an
-            # unmatched key is also a latency violation: the outcome was
-            # resolved in a round its message was not on the wire.
-            violations.append(
-                f"round {event.round}: {event.kind} without a matching send "
-                f"on {event.src} -> {event.dst}"
-            )
-        previous = outcome_edges.get(key)
-        if previous is not None:
-            violations.append(
-                f"round {event.round}: message {event.src} -> {event.dst} "
-                f"both {previous} and {event.kind}"
-            )
-        outcome_edges[key] = event.kind
+    outcome_edges: Dict[Any, str] = {}
+    for events in (deliveries, drops, expires):
+        for r, kind, src, dst, _, _ in events:
+            if dst is not None and 0 <= src < n and 0 <= dst < n:
+                key = (r * n + src) * n + dst
+            else:
+                key = (r, src, dst)
+            if key not in seen_edges:
+                # The trace keys deliveries/drops by their send round, so an
+                # unmatched key is also a latency violation: the outcome was
+                # resolved in a round its message was not on the wire.
+                violations.append(
+                    f"round {r}: {kind} without a matching send on {src} -> {dst}"
+                )
+            previous = outcome_edges.get(key)
+            if previous is not None:
+                violations.append(
+                    f"round {r}: message {src} -> {dst} both {previous} and {kind}"
+                )
+            outcome_edges[key] = kind
 
     # Delivery latency: the model delivers at the start of round r + 1;
     # a Δ-bounded schedule may stretch that to any round in
     # [r + 1, r + 1 + Δ], never earlier, never later.
-    for event in deliveries:
-        if event.round_received is None:
+    for r, _, src, dst, _, received in deliveries:
+        if received is None:
             violations.append(
-                f"round {event.round}: delivery {event.src} -> {event.dst} "
-                f"has no recorded arrival round"
+                f"round {r}: delivery {src} -> {dst} has no recorded arrival round"
             )
-        elif not (
-            event.round + 1 <= event.round_received <= event.round + 1 + max_delay
-        ):
+        elif not r + 1 <= received <= r + 1 + max_delay:
             violations.append(
-                f"round {event.round}: delivery {event.src} -> {event.dst} "
-                f"arrived in round {event.round_received}, expected a round "
-                f"in [{event.round + 1}, {event.round + 1 + max_delay}]"
+                f"round {r}: delivery {src} -> {dst} arrived in round {received}, "
+                f"expected a round in [{r + 1}, {r + 1 + max_delay}]"
             )
 
-    for event in drops:
-        crash_round = crashes.get(event.src)
-        if crash_round != event.round:
+    for r, _, src, _, _, _ in drops:
+        crash_round = crashes.get(src)
+        if crash_round != r:
             violations.append(
-                f"round {event.round}: drop from {event.src} outside its "
-                f"crash round ({crash_round})"
+                f"round {r}: drop from {src} outside its crash round ({crash_round})"
             )
 
     # An expiry is legal only when the receiver had crashed before the
@@ -166,26 +181,21 @@ def validate_run(result: RunResult) -> List[str]:
     # in flight.  Synchronously the arrival is always ``round + 1``, so
     # this collapses to "the receiver crashed by the end of the send
     # round".  Delayed expiries record their arrival in ``round_received``.
-    for event in expires:
-        arrival = (
-            event.round_received
-            if event.round_received is not None
-            else event.round + 1
-        )
-        if not (event.round + 1 <= arrival <= event.round + 1 + max_delay):
+    for r, _, src, dst, _, received in expires:
+        arrival = received if received is not None else r + 1
+        if not r + 1 <= arrival <= r + 1 + max_delay:
             violations.append(
-                f"round {event.round}: expiry {event.src} -> {event.dst} "
-                f"resolved at round {arrival}, outside "
-                f"[{event.round + 1}, {event.round + 1 + max_delay}]"
+                f"round {r}: expiry {src} -> {dst} resolved at round {arrival}, "
+                f"outside [{r + 1}, {r + 1 + max_delay}]"
             )
             continue
-        crash_round = crashes.get(event.dst)
+        crash_round = crashes.get(dst)
         if crash_round is not None and crash_round < arrival:
             continue  # receiver was dead when the message arrived
         if arrival > result.rounds:
             continue  # run ended with the message still in flight
         violations.append(
-            f"round {event.round}: message {event.src} -> {event.dst} "
+            f"round {r}: message {src} -> {dst} "
             f"expired but the receiver crashed in round {crash_round}"
         )
 

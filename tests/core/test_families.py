@@ -62,6 +62,15 @@ class TestRunPointValidation:
         with pytest.raises(ConfigurationError, match="params are for n=64"):
             RunPoint("election", 128, 0.5, params=Params(n=64, alpha=0.5))
 
+    @pytest.mark.parametrize("backend", ["ref", "vec"])
+    def test_params_for_another_alpha(self, backend):
+        with pytest.raises(ConfigurationError, match="params are for alpha=0.9"):
+            RunPoint("election", 64, 0.5, params=Params(n=64, alpha=0.9), backend=backend)
+        with pytest.raises(ConfigurationError, match="params are for alpha=0.9"):
+            elect_leader(n=64, alpha=0.5, seed=1, params=Params(n=64, alpha=0.9), backend=backend)
+        with pytest.raises(ConfigurationError, match="params are for alpha=0.9"):
+            agree(n=64, alpha=0.5, seed=1, params=Params(n=64, alpha=0.9), backend=backend)
+
     def test_resolves_through_the_row(self):
         point = RunPoint("agreement", 64, 0.5, seed=3, inputs="single1", extra_rounds=2)
         assert point.fault_budget == Params(n=64, alpha=0.5).max_faulty

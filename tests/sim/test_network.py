@@ -1,8 +1,12 @@
 """Engine semantics tests (repro.sim.network): synchrony, CONGEST FIFO,
 crash handling, fast-forward, budgets, determinism."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.core import elect_leader
 from repro.errors import BudgetExceeded, CongestViolation, SimulationError
 from repro.faults.adversary import Adversary, CrashOrder
 from repro.faults.strategies import EagerCrash, LazyCrash
@@ -538,6 +542,47 @@ class TestNoTraceFastPath:
         untraced = self._metrics(collect_trace=False, delivery=delivery)
         assert untraced == traced
         assert traced.max_delivery_latency > 1  # the schedule really delayed
+
+
+class TestNoReferenceCycle:
+    """A finished run is freed by reference counting alone: nothing in the
+    engine points back at the :class:`Network`, so its contexts,
+    protocols and trace never wait for the cyclic collector."""
+
+    @pytest.mark.parametrize("collect_trace", [False, True])
+    def test_finished_election_is_freed_without_the_collector(
+        self, fast_params, collect_trace
+    ):
+        gc.collect()
+        gc.disable()
+        try:
+            result = elect_leader(
+                n=64, alpha=0.5, seed=1, adversary="random",
+                params=fast_params(64), collect_trace=collect_trace,
+            )
+            kept = [weakref.ref(result.metrics)]
+            if collect_trace:
+                kept.append(weakref.ref(result.trace))
+            del result
+            assert all(ref() is None for ref in kept)
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("collect_trace", [False, True])
+    def test_network_is_freed_without_the_collector(self, collect_trace):
+        gc.collect()
+        gc.disable()
+        try:
+            network = Network(
+                16, lambda u: Spray(u, 16), seed=9, adversary=EagerCrash(),
+                max_faulty=8, collect_trace=collect_trace,
+            )
+            result = network.run(4)
+            kept = [weakref.ref(network), weakref.ref(result.protocols[0])]
+            del network, result
+            assert all(ref() is None for ref in kept)
+        finally:
+            gc.enable()
 
 
 class TestDeterminism:

@@ -1,6 +1,8 @@
 """Unit tests for execution traces (repro.sim.trace)."""
 
-from repro.sim.trace import Trace, TraceEvent
+import pickle
+
+from repro.sim.trace import Trace, TraceEvent, new_event
 
 
 def _sample_trace() -> Trace:
@@ -29,10 +31,21 @@ class TestTrace:
         trace = _sample_trace()
         assert trace.communicating_nodes() == {0, 1}
 
-    def test_disabled_trace_records_nothing(self):
-        trace = Trace(enabled=False)
-        trace.record(TraceEvent(round=1, kind="send", src=0, dst=1))
-        assert len(trace) == 0
+    def test_event_is_a_value(self):
+        event = TraceEvent(
+            round=1, kind="deliver", src=0, dst=1, message_kind="X", round_received=2
+        )
+        built = new_event(TraceEvent, (1, "deliver", 0, 1, "X", 2))
+        assert type(built) is TraceEvent
+        assert built == event and hash(built) == hash(event)
+        assert pickle.loads(pickle.dumps(event)) == event
+        assert repr(event) == (
+            "TraceEvent(round=1, kind='deliver', src=0, dst=1, "
+            "message_kind='X', round_received=2)"
+        )
+        assert TraceEvent(round=2, kind="crash", src=3) == new_event(
+            TraceEvent, (2, "crash", 3, None, None, None)
+        )
 
     def test_empty_trace_is_falsy_but_usable(self):
         # Regression guard: Trace defines __len__, so `if trace:` is False

@@ -224,3 +224,105 @@ class TestRealRuns:
             rounds=result.rounds,
         )
         assert validate_run(run) == []
+
+
+class TestExactReports:
+    """The whole violation list, order included: one line per broken law,
+    none added and none hidden by a neighbouring event."""
+
+    def test_out_of_range_endpoints_beside_their_aliases(self):
+        # With n=8, (round*n + src)*n + dst maps 1: 9 -> 0 onto 2: 1 -> 0
+        # and 1: 2 -> -1 onto 1: 1 -> 7; the valid messages stay clean.
+        events = [
+            send(2, 1, 0), deliver(2, 1, 0), send(1, 9, 0), deliver(1, 9, 0),
+            send(1, 1, 7), deliver(1, 1, 7), send(1, 2, -1), deliver(1, 2, -1),
+        ]
+        assert validate_run(_result(events)) == [
+            "round 1: endpoint out of range (9 -> 0)",
+            "round 1: endpoint out of range (2 -> -1)",
+        ]
+
+    def test_out_of_range_outcome_beside_its_alias(self):
+        events = [send(2, 1, 0), deliver(2, 1, 0), deliver(1, 9, 0)]
+        assert validate_run(_result(events)) == [
+            "conservation broken: 1 sends != 2 deliveries + 0 drops + 0 expiries",
+            "round 1: deliver without a matching send on 9 -> 0",
+        ]
+
+    def test_outcome_without_send(self):
+        events = [send(1, 0, 1), deliver(1, 0, 1), drop(2, 3, 4), crash(2, 3)]
+        result = _result(events, faulty={3}, crashed={3: 2})
+        assert validate_run(result) == [
+            "conservation broken: 1 sends != 1 deliveries + 1 drops + 0 expiries",
+            "round 2: drop without a matching send on 3 -> 4",
+        ]
+
+    def test_message_with_two_outcomes(self):
+        events = [send(1, 0, 1), deliver(1, 0, 1), crash(1, 0), drop(1, 0, 1)]
+        result = _result(events, faulty={0}, crashed={0: 1})
+        assert validate_run(result) == [
+            "conservation broken: 1 sends != 1 deliveries + 1 drops + 0 expiries",
+            "round 1: message 0 -> 1 both deliver and drop",
+        ]
+
+    def test_congest_double_send(self):
+        events = [send(1, 0, 1), send(1, 0, 1), deliver(1, 0, 1), deliver(1, 0, 1)]
+        assert validate_run(_result(events)) == [
+            "round 1: two messages on edge 0 -> 1 (CONGEST violation)",
+            "round 1: message 0 -> 1 both deliver and deliver",
+        ]
+
+    def test_send_after_crash(self):
+        events = [crash(1, 0), send(2, 0, 1), drop(2, 0, 1)]
+        result = _result(events, faulty={0}, crashed={0: 1})
+        assert validate_run(result) == [
+            "round 2: dead node 0 (crashed round 1) sent a message",
+            "round 2: drop from 0 outside its crash round (1)",
+        ]
+
+    def test_outcome_laws_report_in_kind_order(self):
+        # Each kind's law is reported after every matching violation, and
+        # deliveries before drops before expiries, whatever the event order.
+        events = [
+            crash(1, 5), send(1, 4, 5), expire(1, 4, 5),
+            send(2, 0, 1), send(2, 2, 3), drop(2, 2, 3),
+            send(3, 0, 1), deliver(3, 0, 1, received=6),
+            deliver(2, 0, 1), send(3, 6, 7), expire(3, 6, 7),
+        ]
+        result = _result(events, faulty={5}, crashed={5: 1})
+        assert validate_run(result) == [
+            "round 3: delivery 0 -> 1 arrived in round 6, expected a round in [4, 4]",
+            "round 2: drop from 2 outside its crash round (None)",
+            "round 3: message 6 -> 7 expired but the receiver crashed in round None",
+        ]
+
+    def test_metrics_disagree_on_every_count(self):
+        metrics = Metrics()
+        metrics.messages_sent = 4
+        metrics.messages_delivered = 3
+        metrics.messages_dropped = 2
+        metrics.messages_expired = 1
+        metrics.per_round_messages = [4]
+        result = _result([send(1, 0, 1), deliver(1, 0, 1)], metrics=metrics)
+        assert validate_run(result) == [
+            "trace has 1 sends, metrics counted 4",
+            "trace has 1 deliveries, metrics counted 3",
+            "trace has 0 drops, metrics counted 2",
+            "trace has 0 expiries, metrics counted 1",
+        ]
+
+    def test_expiry_outside_its_arrival_window(self):
+        late_expiry = TraceEvent(
+            round=1, kind="expire", src=0, dst=1, message_kind="X", round_received=4
+        )
+        events = [crash(1, 1), send(1, 0, 1), late_expiry]
+        result = _result(events, faulty={1}, crashed={1: 1})
+        assert validate_run(result) == [
+            "round 1: expiry 0 -> 1 resolved at round 4, outside [2, 2]",
+        ]
+
+    def test_trace_crashes_disagree_with_the_result(self):
+        result = _result([crash(1, 3)], faulty={3}, crashed={})
+        assert validate_run(result) == [
+            "trace crashes disagree with RunResult.crashed",
+        ]
