@@ -30,7 +30,7 @@ True
 from .params import CongestBudget, Params, alpha_floor, default_params, max_faulty
 from .types import Decision, Knowledge, NodeState
 
-__version__ = "1.22.0"
+__version__ = "1.23.0"
 
 __all__ = [
     "CongestBudget",

@@ -3,8 +3,11 @@
 Table I of the paper compares its agreement algorithm against the known
 crash-fault consensus protocols; Section III additionally cites the
 fault-free sublinear protocols that this paper generalises.  This package
-re-implements each comparator on the same simulator so experiment E9 can
-measure them side by side:
+re-implements each comparator on the same simulator so experiments E9
+and E12 can measure them side by side.  Each module holds a node class
+and an entry point that checks its inputs and runs the baseline's row of
+:data:`repro.core.families.FAMILIES`, through the same run path as the
+paper's protocols:
 
 * :mod:`~repro.baselines.kutten_le` — fault-free sublinear implicit leader
   election (Kutten, Pandurangan, Peleg, Robinson, Trehan — [21]).

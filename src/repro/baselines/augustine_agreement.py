@@ -11,51 +11,40 @@ Message complexity ``O(n^1/2 log^{3/2} n)``, 2 rounds.
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Sequence
 
+from ..core.families import FAMILIES
+from ..params import Params
 from ..sim.message import Delivery, Message
-from ..sim.network import Network
 from ..sim.node import Context, Protocol
-from .base import BaselineOutcome, evaluate_implicit_agreement
+from .base import BaselineOutcome, check_inputs
 
 MSG_BIT = "AAG_BIT"  # candidate -> referee: (bit,)
 MSG_MIN = "AAG_MIN"  # referee -> candidate: (min_bit,)
 
 
 class AugustineAgreementProtocol(Protocol):
-    """One node of the [23]-style fault-free implicit agreement."""
+    """One node of the [23]-style fault-free implicit agreement.
 
-    def __init__(self, node_id: int, n: int, input_bit: int,
-                 candidate_factor: float = 6.0,
-                 referee_factor: float = 2.0) -> None:
+    ``params`` are the paper's at ``alpha = 1``, as for
+    :class:`~repro.baselines.kutten_le.KuttenLeaderElectionProtocol`.
+    """
+
+    def __init__(self, node_id: int, params: Params, input_bit: int) -> None:
         if input_bit not in (0, 1):
             raise ValueError(f"input bit must be 0 or 1, got {input_bit}")
         self.node_id = node_id
-        self.n = n
+        self.params = params
         self.input_bit = input_bit
-        self.candidate_factor = candidate_factor
-        self.referee_factor = referee_factor
         self.is_candidate = False
         self.decided: Optional[int] = None
         self._observed_min: Optional[int] = None
 
-    @property
-    def candidate_probability(self) -> float:
-        """``c log n / n``."""
-        return min(1.0, self.candidate_factor * math.log(self.n) / self.n)
-
-    @property
-    def referee_count(self) -> int:
-        """``c' sqrt(n log n)``."""
-        raw = self.referee_factor * math.sqrt(self.n * math.log(self.n))
-        return min(self.n - 1, max(1, math.ceil(raw)))
-
     def on_start(self, ctx: Context) -> None:
-        self.is_candidate = ctx.rng.random() < self.candidate_probability
+        self.is_candidate = ctx.rng.random() < self.params.candidate_probability
         if self.is_candidate:
             message = Message(MSG_BIT, (self.input_bit,))
-            for referee in ctx.sample_nodes(self.referee_count):
+            for referee in ctx.sample_nodes(self.params.referee_count):
                 ctx.send(referee, message)
         ctx.idle()
 
@@ -82,35 +71,7 @@ class AugustineAgreementProtocol(Protocol):
             self.decided = self.input_bit
 
 
-def augustine_agree(
-    n: int,
-    inputs: Sequence[int],
-    seed: int = 0,
-    candidate_factor: float = 6.0,
-    referee_factor: float = 2.0,
-) -> BaselineOutcome:
+def augustine_agree(n: int, inputs: Sequence[int], seed: int = 0) -> BaselineOutcome:
     """Run the fault-free [23]-style implicit agreement and evaluate it."""
-    if len(inputs) != n:
-        raise ValueError(f"got {len(inputs)} inputs for n={n}")
-    network = Network(
-        n,
-        lambda u: AugustineAgreementProtocol(
-            u, n, inputs[u], candidate_factor, referee_factor
-        ),
-        seed=seed,
-    )
-    run = network.run(4)
-    outcome = BaselineOutcome(
-        protocol="augustine-agreement",
-        n=n,
-        faulty=run.faulty,
-        crashed=run.crashed,
-        metrics=run.metrics,
-        inputs=list(inputs),
-    )
-    for u in range(n):
-        protocol: AugustineAgreementProtocol = run.protocol(u)  # type: ignore[assignment]
-        if protocol.decided is not None:
-            outcome.decisions[u] = protocol.decided
-    outcome.success = evaluate_implicit_agreement(outcome, run.alive)
-    return outcome
+    check_inputs(n, inputs)
+    return FAMILIES["augustine_agreement"].run(n, seed=seed, inputs=inputs)

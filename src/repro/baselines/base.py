@@ -1,8 +1,9 @@
 """Shared plumbing for baseline protocols.
 
 Each baseline exposes a ``<name>(n, seed, ...) -> BaselineOutcome`` entry
-point; :class:`BaselineOutcome` is a protocol-agnostic record with the
-fields the Table I comparison needs.
+point that checks its inputs and runs the baseline's row of
+:data:`repro.core.families.FAMILIES`; :class:`BaselineOutcome` is a
+protocol-agnostic record with the fields the Table I comparison needs.
 """
 
 from __future__ import annotations
@@ -62,6 +63,15 @@ class BaselineOutcome:
             "rounds": self.rounds,
             "crashes": self.metrics.crashes,
         }
+
+
+def check_inputs(n: int, inputs: Sequence[int]) -> None:
+    """Raise ``ValueError`` unless ``inputs`` holds ``n`` bits."""
+    if len(inputs) != n:
+        raise ValueError(f"got {len(inputs)} inputs for n={n}")
+    for bit in inputs:
+        if bit not in (0, 1):
+            raise ValueError(f"input bit must be 0 or 1, got {bit}")
 
 
 def evaluate_explicit_agreement(

@@ -46,7 +46,7 @@ from ..sim.delivery import DeliverySchedule
 from ..sim.message import Delivery, Message
 from ..sim.node import Context, Protocol
 from ..types import NodeId
-from .base import BaselineOutcome
+from .base import BaselineOutcome, check_inputs
 
 MSG_REPORT = "BO_R"  # (phase, bit)
 MSG_PROPOSAL = "BO_P"  # (phase, value) — value 0/1 or BOT
@@ -239,11 +239,7 @@ def ben_or_consensus(
     nodes' protocols (omission wraps, ``zero_forger`` forges decide
     certificates) and charges them to the same budget.
     """
-    if len(inputs) != n:
-        raise ValueError(f"got {len(inputs)} inputs for n={n}")
-    for bit in inputs:
-        if bit not in (0, 1):
-            raise ValueError(f"input bit must be 0 or 1, got {bit}")
+    check_inputs(n, inputs)
     return FAMILIES["ben_or"].run(
         n,
         seed=seed,

@@ -8,8 +8,8 @@ schedule is deterministic-expander based; we use uniform push gossip,
 which has the same message/round asymptotics in expectation):
 
 * every node keeps a current estimate (initially its input bit);
-* for ``T = ceil(c log n)`` rounds, every node pushes its estimate to
-  ``fanout`` uniformly random nodes each round (total ``fanout * n * T =
+* for ``T = ceil(4 log n)`` rounds, every node pushes its estimate to
+  2 uniformly random nodes each round (total ``2 n T =
   O(n log n)`` messages — the Table I column);
 * estimates improve towards the minimum; after ``T`` rounds every node
   decides its estimate.
@@ -25,32 +25,34 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence
 
+from ..core.families import FAMILIES
 from ..faults.adversary import Adversary
 from ..sim.message import Delivery, Message
-from ..sim.network import Network
 from ..sim.node import Context, Protocol
-from .base import BaselineOutcome, evaluate_explicit_agreement
+from .base import BaselineOutcome, check_inputs
 
 MSG_GOSSIP = "CK_GOS"  # node -> node: (bit,)
 
 
-def gossip_rounds(n: int, factor: float = 4.0) -> int:
-    """``ceil(c log n)`` gossip rounds."""
-    return max(2, math.ceil(factor * math.log(n)))
+#: Nodes each node pushes its estimate to, every round.
+FANOUT = 2
+
+
+def gossip_rounds(n: int) -> int:
+    """``ceil(4 log n)`` gossip rounds."""
+    return max(2, math.ceil(4.0 * math.log(n)))
 
 
 class GossipConsensusProtocol(Protocol):
     """One node of the push-gossip consensus."""
 
-    def __init__(
-        self, node_id: int, n: int, input_bit: int, rounds: int, fanout: int = 2
-    ) -> None:
+    def __init__(self, node_id: int, n: int, input_bit: int, rounds: int) -> None:
         if input_bit not in (0, 1):
             raise ValueError(f"input bit must be 0 or 1, got {input_bit}")
         self.node_id = node_id
         self.n = n
         self.rounds = rounds
-        self.fanout = min(fanout, n - 1)
+        self.fanout = min(FANOUT, n - 1)
         self.estimate = input_bit
         self.decided: Optional[int] = None
 
@@ -88,36 +90,16 @@ def gossip_consensus(
     seed: int = 0,
     adversary: Optional[Adversary] = None,
     faulty_count: int = 0,
-    round_factor: float = 4.0,
-    fanout: int = 2,
 ) -> BaselineOutcome:
     """Run the [36]-style gossip consensus and evaluate it.
 
     Success: every alive node decided the same valid bit.
     """
-    if len(inputs) != n:
-        raise ValueError(f"got {len(inputs)} inputs for n={n}")
-    rounds = gossip_rounds(n, round_factor)
-    network = Network(
+    check_inputs(n, inputs)
+    return FAMILIES["chlebus_kowalski"].run(
         n,
-        lambda u: GossipConsensusProtocol(u, n, inputs[u], rounds, fanout),
         seed=seed,
         adversary=adversary or Adversary(),
-        max_faulty=faulty_count,
         inputs=inputs,
+        faulty_count=faulty_count,
     )
-    run = network.run(rounds + 2)
-    outcome = BaselineOutcome(
-        protocol="chlebus-kowalski",
-        n=n,
-        faulty=run.faulty,
-        crashed=run.crashed,
-        metrics=run.metrics,
-        inputs=list(inputs),
-    )
-    for u in run.alive:
-        protocol: GossipConsensusProtocol = run.protocol(u)  # type: ignore[assignment]
-        if protocol.decided is not None:
-            outcome.decisions[u] = protocol.decided
-    outcome.success = evaluate_explicit_agreement(outcome, run.alive)
-    return outcome

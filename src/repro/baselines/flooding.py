@@ -20,7 +20,7 @@ from ..core.families import FAMILIES
 from ..faults.adversary import Adversary
 from ..sim.message import Delivery, Message
 from ..sim.node import Context, Protocol
-from .base import BaselineOutcome
+from .base import BaselineOutcome, check_inputs
 
 MSG_FLOOD = "FLD_VAL"  # node -> everyone: (bit,)
 
@@ -87,11 +87,7 @@ def flooding_consensus(
     ``backend="vec"`` runs the numpy engine (identical results; falls
     back to the reference engine for unsupported configurations).
     """
-    if len(inputs) != n:
-        raise ValueError(f"got {len(inputs)} inputs for n={n}")
-    for bit in inputs:
-        if bit not in (0, 1):
-            raise ValueError(f"input bit must be 0 or 1, got {bit}")
+    check_inputs(n, inputs)
     return FAMILIES["flooding"].run(
         n,
         seed=seed,

@@ -29,21 +29,20 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence
 
+from ..core.families import FAMILIES
 from ..faults.adversary import Adversary
 from ..sim.message import Delivery, Message
-from ..sim.network import Network
 from ..sim.node import Context, Protocol
-from ..types import Knowledge
-from .base import BaselineOutcome, evaluate_explicit_agreement
+from .base import BaselineOutcome, check_inputs
 
 MSG_INPUT = "GK_IN"  # node -> committee: (bit,)
 MSG_FLOOD = "GK_FLOOD"  # committee internal: (bit,)
 MSG_DECIDE = "GK_DEC"  # committee -> node: (bit,)
 
 
-def committee_size(n: int, factor: float = 3.0) -> int:
-    """``ceil(c log n)`` committee members, at most ``n``."""
-    return min(n, max(1, math.ceil(factor * math.log(n))))
+def committee_size(n: int) -> int:
+    """``ceil(3 log n)`` committee members, at most ``n``."""
+    return min(n, max(1, math.ceil(3.0 * math.log(n))))
 
 
 class CommitteeAgreementProtocol(Protocol):
@@ -123,37 +122,16 @@ def committee_agreement(
     seed: int = 0,
     adversary: Optional[Adversary] = None,
     faulty_count: int = 0,
-    committee_factor: float = 3.0,
 ) -> BaselineOutcome:
     """Run the [24]-style explicit agreement and evaluate it.
 
     Success: every alive node decided the same valid bit.
     """
-    if len(inputs) != n:
-        raise ValueError(f"got {len(inputs)} inputs for n={n}")
-    k = committee_size(n, committee_factor)
-    network = Network(
+    check_inputs(n, inputs)
+    return FAMILIES["gilbert_kowalski"].run(
         n,
-        lambda u: CommitteeAgreementProtocol(u, n, inputs[u], k),
         seed=seed,
         adversary=adversary or Adversary(),
-        max_faulty=faulty_count,
         inputs=inputs,
-        knowledge=Knowledge.KT1,
+        faulty_count=faulty_count,
     )
-    total_rounds = 2 + math.ceil(math.log2(max(2, k))) + 1 + 3
-    run = network.run(total_rounds)
-    outcome = BaselineOutcome(
-        protocol="gilbert-kowalski",
-        n=n,
-        faulty=run.faulty,
-        crashed=run.crashed,
-        metrics=run.metrics,
-        inputs=list(inputs),
-    )
-    for u in run.alive:
-        protocol: CommitteeAgreementProtocol = run.protocol(u)  # type: ignore[assignment]
-        if protocol.decided is not None:
-            outcome.decisions[u] = protocol.decided
-    outcome.success = evaluate_explicit_agreement(outcome, run.alive)
-    return outcome

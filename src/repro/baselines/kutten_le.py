@@ -21,11 +21,11 @@ algorithm degenerates to [21] at ``alpha = 1``).
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional
 
+from ..core.families import FAMILIES
+from ..params import Params
 from ..sim.message import Delivery, Message
-from ..sim.network import Network
 from ..sim.node import Context, Protocol
 from ..types import NodeState
 from .base import BaselineOutcome
@@ -35,14 +35,16 @@ MSG_MAX = "KLE_MAX"  # referee -> candidate: (max_rank,)
 
 
 class KuttenLeaderElectionProtocol(Protocol):
-    """One node of the [21]-style fault-free election."""
+    """One node of the [21]-style fault-free election.
 
-    def __init__(self, node_id: int, n: int, candidate_factor: float = 6.0,
-                 referee_factor: float = 2.0) -> None:
+    ``params`` are the paper's at ``alpha = 1``: candidates with
+    probability ``6 log n / n``, ``2 (n log n)^1/2`` referees, ranks in
+    ``[1, n^4]``.
+    """
+
+    def __init__(self, node_id: int, params: Params) -> None:
         self.node_id = node_id
-        self.n = n
-        self.candidate_factor = candidate_factor
-        self.referee_factor = referee_factor
+        self.params = params
         self.rank: Optional[int] = None
         self.is_candidate = False
         self.state = NodeState.UNDECIDED
@@ -50,22 +52,11 @@ class KuttenLeaderElectionProtocol(Protocol):
         self._reply_max: Optional[int] = None
         self._senders: List[int] = []
 
-    @property
-    def candidate_probability(self) -> float:
-        """``c log n / n`` — expected committee of ``c log n``."""
-        return min(1.0, self.candidate_factor * math.log(self.n) / self.n)
-
-    @property
-    def referee_count(self) -> int:
-        """``c' sqrt(n log n)`` referees per candidate."""
-        raw = self.referee_factor * math.sqrt(self.n * math.log(self.n))
-        return min(self.n - 1, max(1, math.ceil(raw)))
-
     def on_start(self, ctx: Context) -> None:
-        self.rank = ctx.rng.randint(1, self.n**4)
-        self.is_candidate = ctx.rng.random() < self.candidate_probability
+        self.rank = ctx.rng.randint(1, self.params.rank_space)
+        self.is_candidate = ctx.rng.random() < self.params.candidate_probability
         if self.is_candidate:
-            self._referees = ctx.sample_nodes(self.referee_count)
+            self._referees = ctx.sample_nodes(self.params.referee_count)
             message = Message(MSG_RANK, (self.rank,))
             for referee in self._referees:
                 ctx.send(referee, message)
@@ -94,34 +85,9 @@ class KuttenLeaderElectionProtocol(Protocol):
             self.state = NodeState.NON_ELECTED
 
 
-def kutten_elect_leader(
-    n: int,
-    seed: int = 0,
-    candidate_factor: float = 6.0,
-    referee_factor: float = 2.0,
-) -> BaselineOutcome:
+def kutten_elect_leader(n: int, seed: int = 0) -> BaselineOutcome:
     """Run the fault-free [21]-style election and evaluate it.
 
     Success: exactly one node outputs ELECTED.
     """
-    network = Network(
-        n,
-        lambda u: KuttenLeaderElectionProtocol(
-            u, n, candidate_factor, referee_factor
-        ),
-        seed=seed,
-    )
-    run = network.run(4)
-    outcome = BaselineOutcome(
-        protocol="kutten-le",
-        n=n,
-        faulty=run.faulty,
-        crashed=run.crashed,
-        metrics=run.metrics,
-    )
-    for u in range(n):
-        protocol: KuttenLeaderElectionProtocol = run.protocol(u)  # type: ignore[assignment]
-        if protocol.state is NodeState.ELECTED:
-            outcome.elected.append(u)
-    outcome.success = len(outcome.elected) == 1
-    return outcome
+    return FAMILIES["kutten_le"].run(n, seed=seed)

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+from ..core.families import FAMILIES
 from ..faults.adversary import Adversary
 from ..sim.message import Delivery, Message
-from ..sim.network import Network
 from ..sim.node import Context, Protocol
-from ..types import Knowledge
-from .base import BaselineOutcome, evaluate_explicit_agreement
+from .base import BaselineOutcome, check_inputs
 
 MSG_ESTIMATE = "RC_EST"  # coordinator -> everyone: (bit,)
 
@@ -76,30 +75,11 @@ def rotating_coordinator_consensus(
     faulty_count: int = 0,
 ) -> BaselineOutcome:
     """Run rotating-coordinator consensus (f + 1 phases) and evaluate it."""
-    if len(inputs) != n:
-        raise ValueError(f"got {len(inputs)} inputs for n={n}")
-    phases = min(faulty_count + 1, n)
-    network = Network(
+    check_inputs(n, inputs)
+    return FAMILIES["rotating_coordinator"].run(
         n,
-        lambda u: RotatingCoordinatorProtocol(u, n, inputs[u], phases),
         seed=seed,
         adversary=adversary or Adversary(),
-        max_faulty=faulty_count,
         inputs=inputs,
-        knowledge=Knowledge.KT1,
+        faulty_count=faulty_count,
     )
-    run = network.run(phases + 2)
-    outcome = BaselineOutcome(
-        protocol="rotating-coordinator",
-        n=n,
-        faulty=run.faulty,
-        crashed=run.crashed,
-        metrics=run.metrics,
-        inputs=list(inputs),
-    )
-    for u in run.alive:
-        protocol: RotatingCoordinatorProtocol = run.protocol(u)  # type: ignore[assignment]
-        if protocol.decided is not None:
-            outcome.decisions[u] = protocol.decided
-    outcome.success = evaluate_explicit_agreement(outcome, run.alive)
-    return outcome

@@ -1,15 +1,17 @@
 """Protocol families: one row per family that the tooling runs by name.
 
 The paper's two protocols, implicit leader election (Sec. IV-A) and
-implicit agreement (Sec. V-A), and the two baselines that campaigns run
-by name, flooding consensus (Table I) and Ben-Or (E14), each get one
-frozen :class:`Family` row in :data:`FAMILIES`.  A row says how its
+implicit agreement (Sec. V-A), and every baseline each get one frozen
+:class:`Family` row in :data:`FAMILIES`: flooding consensus, Ben-Or
+(E14), the fault-free [21]/[23] protocols (Kutten et al.; Augustine et
+al.) and the crash protocols of Table I (Gilbert–Kowalski,
+Chlebus–Kowalski, the rotating coordinator).  A row says how its
 family is built, run (:meth:`Family.run`, through the shared
 :func:`repro.core.runner._run`) and judged.  One run of a family is a
 :class:`RunPoint`, validated once against its row.  The wire spec, the
 fuzzer, the trial tasks, the campaign service and the CLI describe their
 runs as points and look rows up instead of branching on the family's
-name.
+name; a row reaches one of them only through the field it reads.
 
 Adding a family is one row plus its node class (see ``DESIGN.md``).
 Rows import the baselines, the chaos layer and the vec engine lazily.
@@ -18,9 +20,10 @@ Rows import the baselines, the chaos layer and the vec engine lazily.
 from __future__ import annotations
 
 import importlib
+import math
 import sys
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from functools import cached_property, partial
 from types import ModuleType, SimpleNamespace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -321,27 +324,69 @@ def _ben_or_oracle(outcome: Any) -> List[str]:
     )
 
 
-def _consensus(label: str, honest_only: bool) -> Callable[[RunResult, RunPoint, Adversary], Any]:
-    """A baseline's evaluator: explicit agreement over the alive nodes
-    (the alive honest ones, when faulty nodes may lie)."""
+def _scripted_budget(
+    n: int, alpha: Optional[float], params: Optional[Params], scripted: Sequence[NodeId]
+) -> int:
+    return len(scripted)
+
+
+def _no_schedule(params: Optional[Params], max_delay: int) -> None:
+    return None
+
+
+def _fault_free_nodes(module: str, protocol: str) -> Callable[[RunPoint], ProtocolFactory]:
+    """Nodes of a fault-free [21]/[23] baseline.  They sample with the
+    paper's constants at ``alpha = 1``, where its protocols degenerate
+    to these."""
+
+    def nodes(s: RunPoint) -> ProtocolFactory:
+        node = partial(getattr(_baseline(module), protocol), params=Params(n=s.n, alpha=1.0))
+        bits = s.input_bits
+        return node if bits is None else lambda u: node(u, input_bit=bits[u])
+
+    return nodes
+
+
+def _outcome(label: str, run: RunResult, s: RunPoint) -> Any:
+    from ..baselines.base import BaselineOutcome
+
+    return BaselineOutcome(
+        protocol=label, n=run.n, faulty=run.faulty, crashed=run.crashed,
+        metrics=run.metrics, inputs=s.input_bits, trace=run.trace,
+        max_delay=run.max_delay,
+    )
+
+
+def _consensus(
+    label: str, honest_only: bool = False, implicit: bool = False
+) -> Callable[[RunResult, RunPoint, Adversary], Any]:
+    """A baseline's evaluator: explicit (or implicit) agreement over the
+    alive nodes (the alive honest ones, when faulty nodes may lie)."""
 
     def evaluate(run: RunResult, s: RunPoint, adversary: Adversary) -> Any:
-        from ..baselines.base import BaselineOutcome, evaluate_explicit_agreement
+        from ..baselines import base
 
-        outcome = BaselineOutcome(
-            protocol=label, n=run.n, faulty=run.faulty, crashed=run.crashed,
-            metrics=run.metrics, inputs=s.input_bits, trace=run.trace,
-            max_delay=run.max_delay,
-        )
+        outcome = _outcome(label, run, s)
         for u in run.alive:
             decided = getattr(run.protocol(u), "decided", None)
             if decided is not None:
                 outcome.decisions[u] = decided
         judged = [u for u in run.alive if not (honest_only and u in run.faulty)]
-        outcome.success = evaluate_explicit_agreement(outcome, judged)
+        judge = base.evaluate_implicit_agreement if implicit else base.evaluate_explicit_agreement
+        outcome.success = judge(outcome, judged)
         return outcome
 
     return evaluate
+
+
+def _unique_leader(run: RunResult, s: RunPoint, adversary: Adversary) -> Any:
+    """Kutten et al.'s evaluator: exactly one node output ELECTED."""
+    outcome = _outcome("kutten-le", run, s)
+    outcome.elected = [
+        u for u in range(run.n) if run.protocol(u).state is NodeState.ELECTED
+    ]
+    outcome.success = len(outcome.elected) == 1
+    return outcome
 
 
 #: Every protocol family a consumer looks up by name, in display order.
@@ -404,14 +449,14 @@ FAMILIES: Dict[str, Family] = {
         Family(
             name="flooding",
             # f + 1 rounds tolerate any f < n: the budget is the script's.
-            budget=lambda n, alpha, params, scripted: len(scripted),
-            schedule=lambda params, max_delay: None,
+            budget=_scripted_budget,
+            schedule=_no_schedule,
             # f + 1 protocol rounds, run for two extra delivery rounds.
             horizon=lambda s: s.fault_budget + 3,
             nodes=lambda s: lambda u: _baseline("flooding").FloodingConsensusProtocol(
                 u, s.n, s.input_bits[u], s.fault_budget + 1
             ),
-            evaluate=_consensus("flooding", honest_only=False),
+            evaluate=_consensus("flooding"),
             uses_params=False,
             knowledge=Knowledge.KT1,
             vec=lambda vec, s, adversary, f: vec.run_flooding_vec(
@@ -439,6 +484,67 @@ FAMILIES: Dict[str, Family] = {
             delay_tolerant=True,
             oracle=_ben_or_oracle,
             task="repro.parallel.tasks:ben_or_trial",
+        ),
+        # The five other baselines of Table I and Corollaries 1/3.  Their
+        # runs take the scripted budget, as flooding's do.
+        Family(
+            name="kutten_le",
+            budget=_scripted_budget,
+            schedule=_no_schedule,
+            horizon=lambda s: 4,
+            nodes=_fault_free_nodes("kutten_le", "KuttenLeaderElectionProtocol"),
+            evaluate=_unique_leader,
+            uses_params=False,
+            takes_inputs=False,
+        ),
+        Family(
+            name="augustine_agreement",
+            budget=_scripted_budget,
+            schedule=_no_schedule,
+            horizon=lambda s: 4,
+            nodes=_fault_free_nodes("augustine_agreement", "AugustineAgreementProtocol"),
+            evaluate=_consensus("augustine-agreement", implicit=True),
+            uses_params=False,
+        ),
+        Family(
+            name="gilbert_kowalski",
+            budget=_scripted_budget,
+            schedule=_no_schedule,
+            # Inputs, ceil(log2 k) + 1 committee flood rounds, the decide
+            # broadcast, then three delivery rounds.
+            horizon=lambda s: 2 + math.ceil(
+                math.log2(max(2, _baseline("gilbert_kowalski").committee_size(s.n)))
+            ) + 1 + 3,
+            nodes=lambda s: lambda u: _baseline("gilbert_kowalski").CommitteeAgreementProtocol(
+                u, s.n, s.input_bits[u], _baseline("gilbert_kowalski").committee_size(s.n)
+            ),
+            evaluate=_consensus("gilbert-kowalski"),
+            uses_params=False,
+            knowledge=Knowledge.KT1,
+        ),
+        Family(
+            name="chlebus_kowalski",
+            budget=_scripted_budget,
+            schedule=_no_schedule,
+            horizon=lambda s: _baseline("chlebus_kowalski").gossip_rounds(s.n) + 2,
+            nodes=lambda s: lambda u: _baseline("chlebus_kowalski").GossipConsensusProtocol(
+                u, s.n, s.input_bits[u], _baseline("chlebus_kowalski").gossip_rounds(s.n)
+            ),
+            evaluate=_consensus("chlebus-kowalski"),
+            uses_params=False,
+        ),
+        Family(
+            name="rotating_coordinator",
+            budget=_scripted_budget,
+            schedule=_no_schedule,
+            # f + 1 phases, one per round, then two delivery rounds.
+            horizon=lambda s: min(s.fault_budget + 1, s.n) + 2,
+            nodes=lambda s: lambda u: _baseline("rotating_coordinator").RotatingCoordinatorProtocol(
+                u, s.n, s.input_bits[u], min(s.fault_budget + 1, s.n)
+            ),
+            evaluate=_consensus("rotating-coordinator"),
+            uses_params=False,
+            knowledge=Knowledge.KT1,
         ),
     )
 }

@@ -19,15 +19,18 @@ from __future__ import annotations
 from typing import Callable, Dict, List
 
 from ..analysis.stats import mean, summarize_trials
-from ..baselines import (
-    committee_agreement,
-    flooding_consensus,
-    gossip_consensus,
-    rotating_coordinator_consensus,
-)
-from ..core.runner import agree, make_inputs
+from ..core.families import FAMILIES
+from ..core.runner import agree
 from ..faults.strategies import RandomCrash
 from .harness import Check, Experiment, ExperimentReport
+
+#: The crash baselines' family rows, under their table labels.
+BASELINES = {
+    "gilbert-kowalski [24]": "gilbert_kowalski",
+    "chlebus-kowalski [36]": "chlebus_kowalski",
+    "rotating-coord [35,37]": "rotating_coordinator",
+    "flooding (naive)": "flooding",
+}
 
 
 def _runners(n: int, faulty: int) -> Dict[str, Callable[[int], object]]:
@@ -41,36 +44,15 @@ def _runners(n: int, faulty: int) -> Dict[str, Callable[[int], object]]:
             faulty_count=faulty,
         )
 
-    def gk(seed: int):
-        inputs = make_inputs(n, "mixed", seed)
-        return committee_agreement(
-            n, inputs, seed=seed, adversary=RandomCrash(horizon=8), faulty_count=faulty
-        )
-
-    def ck(seed: int):
-        inputs = make_inputs(n, "mixed", seed)
-        return gossip_consensus(
-            n, inputs, seed=seed, adversary=RandomCrash(horizon=8), faulty_count=faulty
-        )
-
-    def flood(seed: int):
-        inputs = make_inputs(n, "mixed", seed)
-        return flooding_consensus(
-            n, inputs, seed=seed, adversary=RandomCrash(horizon=8), faulty_count=faulty
-        )
-
-    def rc(seed: int):
-        inputs = make_inputs(n, "mixed", seed)
-        return rotating_coordinator_consensus(
-            n, inputs, seed=seed, adversary=RandomCrash(horizon=8), faulty_count=faulty
+    def baseline(row: str) -> Callable[[int], object]:
+        return lambda seed: FAMILIES[row].run(
+            n, seed=seed, adversary=RandomCrash(horizon=8), inputs="mixed",
+            faulty_count=faulty,
         )
 
     return {
         "this paper (implicit)": ours,
-        "gilbert-kowalski [24]": gk,
-        "chlebus-kowalski [36]": ck,
-        "rotating-coord [35,37]": rc,
-        "flooding (naive)": flood,
+        **{label: baseline(row) for label, row in BASELINES.items()},
     }
 
 

@@ -106,14 +106,14 @@ def validate_run(result: RunResult) -> List[str]:
         )
 
     # Per-event laws.  A wire message is keyed by one int,
-    # ``(round * n + src) * n + dst``; an out-of-range endpoint, which
-    # could alias another message's key, keys by the plain triple.
+    # ``(round * n + src) * n + dst``; a missing or out-of-range
+    # endpoint, which could alias another message's key, keys by the
+    # plain triple.
     seen_edges: Set[Any] = set()
     for r, _, src, dst, _, _ in sends:
-        assert dst is not None
         if src == dst:
             violations.append(f"round {r}: self-message at {src}")
-        if 0 <= src < n and 0 <= dst < n:
+        if dst is not None and 0 <= src < n and 0 <= dst < n:
             key: Any = (r * n + src) * n + dst
         else:
             violations.append(

@@ -1,5 +1,6 @@
 """The family table and its run point (``repro.core.families``)."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -41,6 +42,30 @@ def test_the_scan_sees_a_name_branch(tmp_path):
         'if protocol == "ben_or":\n    pass\n'
     )
     assert [number for _, number, _ in name_branches(tmp_path)] == [1, 3, 5]
+
+
+def network_calls(root):
+    """``(path, line number)`` of every call that builds a ``Network``."""
+    return sorted(
+        (path.relative_to(root).as_posix(), node.lineno)
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Network"
+    )
+
+
+def test_only_the_runner_builds_a_network():
+    assert {path for path, _ in network_calls(SRC)} == {"core/runner.py"}
+
+
+def test_the_scan_sees_a_network_call(tmp_path):
+    (tmp_path / "baseline.py").write_text(
+        '"""Mirrors ``Network(...).run()``."""\n'
+        "run = Network(8, factory).run(4)\n"
+        "other = network.Network(8, factory)\n"
+    )
+    assert network_calls(tmp_path) == [("baseline.py", 2), ("baseline.py", 3)]
 
 
 class TestRunPointValidation:
@@ -106,3 +131,28 @@ def test_the_cli_point_flags_are_point_fields():
     from repro.cli import _POINT_FLAGS
 
     assert set(_POINT_FLAGS) <= {f.name for f in fields(RunPoint)}
+
+
+BASELINE_ROWS = (
+    "kutten_le", "augustine_agreement", "gilbert_kowalski", "chlebus_kowalski",
+    "rotating_coordinator",
+)
+
+
+def test_the_baseline_rows_reach_no_consumer():
+    from repro import serve
+    from repro.chaos.fuzzer import PROTOCOLS
+    from repro.cli import _families
+    from repro.lowerbound.budget import budget_curve
+    from repro.net.spec import WIRE_PROTOCOLS
+
+    assert tuple(FAMILIES)[-len(BASELINE_ROWS):] == BASELINE_ROWS
+    assert WIRE_PROTOCOLS == ("election", "agreement", "flooding")
+    assert PROTOCOLS == ("election", "agreement", "ben_or")
+    assert sorted(serve.TASKS) == ["agreement", "ben_or", "election", "fuzz"]
+    assert _families("task") == ("election", "agreement", "ben_or")
+    for name in BASELINE_ROWS:
+        with pytest.raises(
+            ValueError, match=r"problem must be one of \('election', 'agreement'\)"
+        ):
+            budget_curve(name, 64, 0.5, [1.0])

@@ -242,6 +242,13 @@ class TestExactReports:
             "round 1: endpoint out of range (2 -> -1)",
         ]
 
+    def test_send_without_a_destination(self):
+        events = [TraceEvent(1, "send", 0), send(1, 0, 1), deliver(1, 0, 1)]
+        assert validate_run(_result(events)) == [
+            "conservation broken: 2 sends != 1 deliveries + 0 drops + 0 expiries",
+            "round 1: endpoint out of range (0 -> None)",
+        ]
+
     def test_out_of_range_outcome_beside_its_alias(self):
         events = [send(2, 1, 0), deliver(2, 1, 0), deliver(1, 9, 0)]
         assert validate_run(_result(events)) == [
